@@ -46,7 +46,6 @@ class RunConfig:
     algo: str = "tradelist"
     out: Path | None = None
     outdir: Path = Path(".")
-    threads: int = 1
     repeat: int = 1
 
 
@@ -121,7 +120,7 @@ def _run_miner(db: Database, cfg: RunConfig) -> tuple[MineResult, int]:
         result = mine_apriori(db, threshold)
         return result, result.stats.raw_passes
     tl = TradeList.build(db)
-    result = mine(tl, threshold, threads=cfg.threads)
+    result = mine(tl, threshold)
     return result, tl.raw_passes + result.stats.raw_passes
 
 
@@ -185,7 +184,7 @@ def cmd_update(cfg: RunConfig) -> int:
     added = parse_into(db, cfg.update_path.read_text(encoding="utf-8"))
     for tx in added:
         tl.add_transaction(tx)
-    result = remine(tl, threshold, threads=cfg.threads)
+    result = remine(tl, threshold)
     if tl.raw_passes != 1 or result.stats.raw_passes != 0:
         raise MiningError(
             "incremental update touched the raw database "
@@ -225,7 +224,7 @@ def cmd_bench(cfg: RunConfig) -> int:
     def run_tradelist() -> tuple[MineResult, int, float]:
         t0 = time.perf_counter()
         tl = TradeList.build(db)
-        result = mine(tl, threshold, threads=cfg.threads)
+        result = mine(tl, threshold)
         return result, tl.raw_passes + result.stats.raw_passes, time.perf_counter() - t0
 
     def run_apriori() -> tuple[MineResult, int, float]:
@@ -300,7 +299,6 @@ def _add_common_args(p: argparse.ArgumentParser, *, algo: bool = False) -> None:
             default="tradelist",
             help="mining algorithm (default: tradelist)",
         )
-    p.add_argument("--threads", type=int, default=1, help="miner worker threads")
 
 
 def _add_threshold_args(p: argparse.ArgumentParser) -> None:
@@ -368,7 +366,6 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         algo=getattr(args, "algo", "tradelist"),
         out=args.out,
         outdir=args.outdir,
-        threads=getattr(args, "threads", 1),
         repeat=getattr(args, "repeat", 1),
     )
 

@@ -35,22 +35,32 @@ def parse_into(db: Database, text: str) -> list[Transaction]:
 
     This is the incremental-update entry point: labels intern into the
     existing dictionaries (new items extend them), and a TID already present
-    in ``db`` is rejected just like a duplicate within one document.
+    in ``db`` is rejected just like a duplicate within one document. The
+    update is all or nothing: if any line is rejected, ``db`` is truncated
+    back to its transactions and dictionaries on entry before the error
+    propagates, so it never runs ahead of an index built from it.
     """
+    n_tx, n_items, n_tids = len(db.transactions), len(db.items), len(db.tids)
     added: list[Transaction] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [field.strip() for field in line.split(",")]
-        if any(not field for field in fields):
-            raise ParseError("empty field", line=lineno)
-        tid_label, item_labels = fields[0], fields[1:]
-        if not item_labels:
-            raise ParseError(f"transaction {tid_label!r} has no items", line=lineno)
-        if tid_label in db.tids:
-            raise DuplicateTidError(f"line {lineno}: duplicate TID {tid_label!r}")
-        added.append(db.add_transaction(tid_label, item_labels))
+    try:
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = [field.strip() for field in line.split(",")]
+            if any(not field for field in fields):
+                raise ParseError("empty field", line=lineno)
+            tid_label, item_labels = fields[0], fields[1:]
+            if not item_labels:
+                raise ParseError(f"transaction {tid_label!r} has no items", line=lineno)
+            if tid_label in db.tids:
+                raise DuplicateTidError(f"line {lineno}: duplicate TID {tid_label!r}")
+            added.append(db.add_transaction(tid_label, item_labels))
+    except MiningError:
+        del db.transactions[n_tx:]
+        db.items.truncate(n_items)
+        db.tids.truncate(n_tids)
+        raise
     return added
 
 

@@ -1,22 +1,24 @@
-"""Depth-first frequent-itemset mining over tidset intersections.
+"""Depth-first frequent-itemset mining over bitmap tidsets.
 
 Frequent single items are ordered by ascending support; each prefix is then
-extended only with items later in that order, carrying the prefix's tidset
-along so every candidate costs exactly one sorted-list intersection. Any
-extension below the threshold is pruned together with its whole subtree. No
-candidate lists are materialized and the raw transaction database is never
-touched: everything runs off the trade-list index, which is why
-``stats.raw_passes`` is always 0 here.
+extended only with items later in that order. At the start of every mining
+call each frequent item's sorted tidset becomes a Python ``int`` bitmap (bit
+t is set when transaction t contains the item), so a candidate costs one
+``prefix & item`` and one ``bit_count()``; ``stats.intersections`` counts
+exactly those, one per candidate. Any extension below the threshold is
+pruned together with its whole subtree. No candidate lists are materialized
+and the raw transaction database is never touched: everything runs off the
+trade-list index, which is why ``stats.raw_passes`` is always 0 here.
 """
 
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Iterator, Sequence
+
+import numpy as np
 
 from .model import Itemset, SupportThreshold, resolve_threshold
 
@@ -25,61 +27,20 @@ if TYPE_CHECKING:
 
 __all__ = ["FrequentItemset", "MineResult", "MineStats", "intersect", "mine", "remine"]
 
-# Switch to galloping when one operand is this many times longer than the other.
-_GALLOP_RATIO = 8
-
 
 def intersect(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Intersection of two strictly increasing sequences, as a sorted list."""
     if len(a) > len(b):
         a, b = b, a
-    if not a:
-        return []
-    if len(b) >= _GALLOP_RATIO * len(a):
-        return _intersect_gallop(a, b)
-    return _intersect_merge(a, b)
+    members = set(b)
+    return [x for x in a if x in members]
 
 
-def _intersect_merge(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        x, y = a[i], b[j]
-        if x < y:
-            i += 1
-        elif y < x:
-            j += 1
-        else:
-            out.append(x)
-            i += 1
-            j += 1
-    return out
-
-
-def _gallop_to(seq: Sequence[int], target: int, lo: int) -> int:
-    """Smallest index >= lo whose value is >= target, or len(seq)."""
-    n = len(seq)
-    if lo >= n or seq[lo] >= target:
-        return lo
-    step = 1
-    while lo + step < n and seq[lo + step] < target:
-        step <<= 1
-    return bisect_left(seq, target, lo + (step >> 1), min(lo + step, n))
-
-
-def _intersect_gallop(small: Sequence[int], big: Sequence[int]) -> list[int]:
-    out = []
-    lo = 0
-    n = len(big)
-    for x in small:
-        lo = _gallop_to(big, x, lo)
-        if lo == n:
-            break
-        if big[lo] == x:
-            out.append(x)
-            lo += 1
-    return out
+def _bitmap(tids: Sequence[int], n_transactions: int) -> int:
+    """The tidset as an int whose bit t is set iff t is in ``tids``."""
+    flags = np.zeros(n_transactions, dtype=np.uint8)
+    flags[np.fromiter(tids, dtype=np.intp, count=len(tids))] = 1
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 @dataclass(frozen=True)
@@ -143,62 +104,40 @@ class MineResult:
         return {fi.itemset: fi.support for fi in self}
 
 
-def mine(
-    tl: "TradeList",
-    threshold: SupportThreshold | int,
-    *,
-    threads: int = 1,
-) -> MineResult:
+def mine(tl: "TradeList", threshold: SupportThreshold | int) -> MineResult:
     """Mine every itemset whose tidset meets the threshold.
 
     Singleton supports are read straight off the tidset lengths (no
-    intersection charged); deeper levels pay one counted intersection per
-    candidate. With ``threads > 1`` the independent top-level prefix subtrees
-    run on a thread pool; results are merged in prefix order and the
-    intersection counter is summed, so output and stats are identical to the
-    sequential run.
+    intersection charged); deeper levels pay one counted bitmap intersection
+    per candidate.
     """
     start = time.perf_counter()
     minsupp = resolve_threshold(threshold, tl.n_transactions)
+    tidsets = tl.tidsets
+    supports = [len(tids) for tids in tidsets]
     order = sorted(
-        (i for i in range(tl.n_items) if len(tl.tidset(i)) >= minsupp),
-        key=lambda i: (len(tl.tidset(i)), i),
+        (i for i, support in enumerate(supports) if support >= minsupp),
+        key=lambda i: (supports[i], i),
     )
-    entries: list[tuple[int, Sequence[int]]] = [(i, tl.tidset(i)) for i in order]
-
-    found: list[tuple[Itemset, int]] = [((item,), len(ts)) for item, ts in entries]
+    found: list[tuple[Itemset, int]] = [((i,), supports[i]) for i in order]
     n_intersections = 0
 
-    def subtree(p: int) -> tuple[list[tuple[Itemset, int]], int]:
-        out: list[tuple[Itemset, int]] = []
-        count = 0
+    def extend(prefix: Itemset, prefix_bits: int, rest: list[tuple[int, int]]) -> None:
+        nonlocal n_intersections
+        n_intersections += len(rest)
+        for q, (item, bits) in enumerate(rest):
+            common = prefix_bits & bits
+            support = common.bit_count()
+            if support >= minsupp:
+                grown = prefix + (item,)
+                found.append((grown, support))
+                extend(grown, common, rest[q + 1 :])
 
-        def extend(
-            prefix: tuple[int, ...],
-            prefix_tids: Sequence[int],
-            rest: list[tuple[int, Sequence[int]]],
-        ) -> None:
-            nonlocal count
-            for q, (item, tids) in enumerate(rest):
-                count += 1
-                common = intersect(prefix_tids, tids)
-                if len(common) >= minsupp:
-                    grown = prefix + (item,)
-                    out.append((grown, len(common)))
-                    extend(grown, common, rest[q + 1 :])
-
-        item, tids = entries[p]
-        extend((item,), tids, entries[p + 1 :])
-        return out, count
-
-    if threads > 1 and len(entries) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(subtree, range(len(entries))))
-    else:
-        chunks = [subtree(p) for p in range(len(entries))]
-    for out, count in chunks:
-        found.extend(out)
-        n_intersections += count
+    if len(order) > 1:
+        n = tl.n_transactions
+        entries = [(i, _bitmap(tidsets[i], n)) for i in order]
+        for p, (item, bits) in enumerate(entries):
+            extend((item,), bits, entries[p + 1 :])
 
     by_level: dict[int, list[FrequentItemset]] = {}
     for itemset, support in found:
@@ -215,16 +154,11 @@ def mine(
     return MineResult(levels, stats)
 
 
-def remine(
-    tl: "TradeList",
-    new_threshold: SupportThreshold | int,
-    *,
-    threads: int = 1,
-) -> MineResult:
+def remine(tl: "TradeList", new_threshold: SupportThreshold | int) -> MineResult:
     """Mine again at a changed threshold.
 
     Same contract as :func:`mine`; it exists as a named entry point for the
     support-change scenario, where the whole point is that no raw-database
     pass occurs (``stats.raw_passes == 0``).
     """
-    return mine(tl, new_threshold, threads=threads)
+    return mine(tl, new_threshold)

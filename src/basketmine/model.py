@@ -124,6 +124,12 @@ class Interner:
     def labels(self) -> tuple[str, ...]:
         return tuple(self._labels)
 
+    def truncate(self, n: int) -> None:
+        """Forget every label interned after the first ``n``."""
+        for label in self._labels[n:]:
+            del self._by_label[label]
+        del self._labels[n:]
+
 
 @dataclass(frozen=True)
 class Transaction:

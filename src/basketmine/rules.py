@@ -1,9 +1,11 @@
 """Association-rule generation with exact rational confidence.
 
-Confidence is kept as a Fraction end to end, so threshold comparisons are
-exact integer cross-multiplications: a rule at confidence 2/3 is included by
+Confidence is exact end to end: the threshold test is an integer
+cross-multiplication, ``supp(Z) * den >= supp(X) * num`` for a minimum
+confidence ``num/den``, so a rule at confidence 2/3 is included by
 ``--minconf 2/3`` and excluded by ``--minconf 0.6667`` with no float
-round-off deciding the boundary.
+round-off deciding the boundary. Emitted rules carry their confidence as a
+Fraction.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import floor
 
 from .miner import MineResult
 from .model import Itemset, MiningError, ThresholdError
@@ -77,6 +78,8 @@ def generate_rules(frequents: MineResult, query: RuleQuery) -> list[Rule]:
     not a data condition.
     """
     supports = frequents.support_map()
+    num = query.min_confidence.numerator
+    den = query.min_confidence.denominator
     rules: list[Rule] = []
     for level in frequents.levels[1:]:
         for fi in level:
@@ -89,8 +92,8 @@ def generate_rules(frequents: MineResult, query: RuleQuery) -> list[Rule]:
                             f"no support recorded for antecedent {antecedent}; "
                             "mining result is not downward-closed"
                         )
-                    conf = confidence(supp_whole, supp_x)
-                    if conf >= query.min_confidence:
+                    if supp_whole * den >= supp_x * num:
+                        conf = confidence(supp_whole, supp_x)
                         consequent = tuple(i for i in whole if i not in antecedent)
                         rules.append(Rule(antecedent, consequent, supp_whole, conf))
     return rules
@@ -99,9 +102,11 @@ def generate_rules(frequents: MineResult, query: RuleQuery) -> list[Rule]:
 def format_percent(value: Fraction | int) -> str:
     """Percentage string, half-away-from-zero to 2 decimals, zeros trimmed.
 
-    5/8 -> "62.5%", 7/9 -> "77.78%", 1 -> "100%".
+    5/8 -> "62.5%", 7/9 -> "77.78%", 1 -> "100%". Computed in integers:
+    ``floor(n/d * 10000 + 1/2) == (20000*n + d) // (2*d)``.
     """
-    hundredths = floor(Fraction(value) * 10000 + Fraction(1, 2))
+    n, d = value.numerator, value.denominator
+    hundredths = (20000 * n + d) // (2 * d)
     whole, rest = divmod(hundredths, 100)
     text = f"{whole}.{rest:02d}".rstrip("0").rstrip(".")
     return text + "%"

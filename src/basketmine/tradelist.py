@@ -57,6 +57,11 @@ class TradeList:
     def n_items(self) -> int:
         return len(self._tidsets)
 
+    @property
+    def tidsets(self) -> Sequence[Sequence[int]]:
+        """Every item's (read-only) tidset, indexed by item ordinal."""
+        return self._tidsets
+
     def add_transaction(self, tx: Transaction) -> None:
         """Append one new transaction without touching the raw database.
 

@@ -143,18 +143,6 @@ class TestMineCmd:
         assert out.read_text().splitlines()[0] == "1-I1"
         assert len(out.read_text().splitlines()) == 6
 
-    def test_threads_flag_changes_nothing(self, tmp_path, capsys):
-        a, b = tmp_path / "a.log", tmp_path / "b.log"
-        run(["mine", "--input", str(STORE10), "--minsupp", "2", "--out", str(a)], capsys)
-        run(
-            [
-                "mine", "--input", str(STORE10), "--minsupp", "2",
-                "--threads", "4", "--out", str(b),
-            ],
-            capsys,
-        )
-        assert a.read_bytes() == b.read_bytes()
-
     def test_requires_threshold(self, capsys):
         code, _, stderr = run(["mine", "--input", str(STORE9)], capsys)
         assert code == 2
@@ -240,6 +228,20 @@ class TestRulesCmd:
         lines = out.read_text().splitlines()
         assert len(lines) == 6
         assert all(line.endswith("= 100%") for line in lines)
+
+    @pytest.mark.parametrize("minconf,kept", [("2/3", True), ("0.6667", False)])
+    def test_exact_two_thirds_boundary(self, tmp_path, capsys, minconf, kept):
+        # I1 => I2 holds in 4 of the 6 transactions containing I1: exactly 2/3.
+        out = tmp_path / "conf.log"
+        code, _, _ = run(
+            [
+                "rules", "--input", str(STORE9), "--minsupp", "2",
+                "--minconf", minconf, "--out", str(out),
+            ],
+            capsys,
+        )
+        assert code == 0
+        assert ("I1->I2 = 66.67%" in out.read_text().splitlines()) == kept
 
     def test_lower_threshold_matches_library(self, tmp_path, capsys):
         from fractions import Fraction

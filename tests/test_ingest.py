@@ -10,6 +10,7 @@ from basketmine.ingest import (
     write_database,
 )
 from basketmine.model import DuplicateTidError, MiningError, ParseError
+from basketmine.tradelist import TradeList
 
 from oracles import db_from_rows, db_rows
 
@@ -61,6 +62,47 @@ class TestParse:
         db = parse_database("T1,A\n")
         with pytest.raises(DuplicateTidError, match="T1"):
             parse_into(db, "T1,B\n")
+
+
+new_lines = st.builds(
+    lambda tid, items: ",".join([tid, *items]),
+    st.sampled_from(["T1", "T2", "T901", "T902", "T903", "U1"]),
+    st.lists(st.sampled_from(["I1", "I2", "I9", "J1", "J2"]), min_size=1, max_size=3),
+)
+bad_lines = st.sampled_from(
+    ["T904,,I3", "T905", "T906, ,I1", ",I1", "T907,I1,", "T908,I1\nT908,I2"]
+)
+
+
+class TestParseIntoAtomic:
+    def test_bad_third_line_leaves_db_and_index_in_step(self, store9_db):
+        tl = TradeList.build(store9_db)
+        with pytest.raises(ParseError, match="line 3"):
+            parse_into(store9_db, "T901,I1\nT902,I2\nT903,,I3\n")
+        assert store9_db.n_transactions == tl.n_transactions == 9
+        assert store9_db.items.labels() == ("I1", "I2", "I5", "I4", "I3")
+        assert "T901" not in store9_db.tids
+        for tx in parse_into(store9_db, "T901,I1\nT902,I6\n"):
+            tl.add_transaction(tx)
+        assert tl == TradeList.build(store9_db)
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        rows=db_rows(max_tx=6, max_items=4),
+        before=st.lists(new_lines, max_size=4),
+        bad=bad_lines,
+        after=st.lists(new_lines, max_size=2),
+    )
+    def test_failed_update_changes_nothing(self, rows, before, bad, after):
+        db, snapshot = db_from_rows(rows), db_from_rows(rows)
+        tl = TradeList.build(db)
+        with pytest.raises(MiningError):
+            parse_into(db, "\n".join([*before, bad, *after]))
+        assert db == snapshot
+        assert tl == TradeList.build(snapshot)
+        for tx in parse_into(db, "Z1,I1,K1\n"):
+            tl.add_transaction(tx)
+        assert tl == TradeList.build(db)
 
 
 class TestWrite:

@@ -1,14 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from basketmine.miner import (
-    _intersect_gallop,
-    _intersect_merge,
-    intersect,
-    mine,
-    remine,
-)
+from basketmine.miner import intersect, mine, remine
 from basketmine.model import Database, SupportThreshold, ThresholdError
 from basketmine.tradelist import TradeList
 
@@ -45,11 +41,6 @@ class TestIntersect:
     @given(a=sorted_ints, b=sorted_ints)
     def test_commutative(self, a, b):
         assert intersect(a, b) == intersect(b, a)
-
-    @given(a=st.sets(st.integers(0, 5000), max_size=6).map(sorted))
-    def test_gallop_path_against_merge(self, a):
-        big = list(range(0, 5000, 3))
-        assert _intersect_gallop(a, big) == _intersect_merge(a, big)
 
     def test_skewed_sizes_take_gallop_path(self):
         small = [10, 999, 2500]
@@ -120,18 +111,14 @@ class TestMine:
         assert a.levels == b.levels
         assert a.stats.intersections == b.stats.intersections
 
-    def test_threads_match_sequential(self, store10_db):
-        tl = TradeList.build(store10_db)
-        seq = mine(tl, 2)
-        par = mine(tl, 2, threads=4)
-        assert seq.levels == par.levels
-        assert seq.stats.intersections == par.stats.intersections
-
-    @settings(deadline=None, max_examples=60)
-    @given(rows=db_rows(max_tx=10, max_items=8), minsupp=st.integers(1, 4))
-    def test_threads_match_sequential_random(self, rows, minsupp):
-        tl = TradeList.build(db_from_rows(rows))
-        assert mine(tl, minsupp).levels == mine(tl, minsupp, threads=3).levels
+    @pytest.mark.parametrize(
+        "fixture,expected",
+        [("store9_db", [17, 13, 4]), ("store10_db", [16, 13, 7])],
+    )
+    def test_intersection_counts_pinned(self, fixture, expected, request):
+        # One tick per candidate extension; singletons cost none.
+        tl = TradeList.build(request.getfixturevalue(fixture))
+        assert [mine(tl, minsupp).stats.intersections for minsupp in (1, 2, 3)] == expected
 
 
 class TestRemine:
@@ -191,3 +178,58 @@ class TestProperties:
             assert itemsets == sorted(itemsets)
             assert all(len(s) == k for s in itemsets)
             assert all(list(s) == sorted(set(s)) for s in itemsets)
+
+
+def wide_rows(n_tx, n_items, lead, seed):
+    """``n_tx`` random rows; items ``n_items // 2`` and up are absent before row ``lead``."""
+    rng = random.Random(seed)
+    late = n_items // 2
+    rows = []
+    for t in range(n_tx):
+        pool = range(n_items) if t >= lead else range(max(late, 1))
+        row = sorted(x for x in pool if rng.random() < 0.4)
+        rows.append(row or [rng.randrange(len(pool))])
+    return rows
+
+
+wide_databases = st.builds(
+    lambda n_tx, n_items, lead_share, seed: wide_rows(
+        n_tx, n_items, int(lead_share * n_tx), seed
+    ),
+    n_tx=st.integers(65, 400),
+    n_items=st.integers(2, 7),
+    lead_share=st.floats(0, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestBitmapKernel:
+    """Bitmaps spanning several 64-bit words, with items that start late."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(rows=wide_databases, minsupp_share=st.floats(0.01, 0.6))
+    def test_oracle_equivalence_multiword(self, rows, minsupp_share):
+        db = db_from_rows(rows)
+        minsupp = max(1, int(minsupp_share * len(rows)))
+        assert mine(TradeList.build(db), minsupp).pairs() == brute_frequents(db, minsupp)
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        rows=wide_databases,
+        split_share=st.floats(0, 1),
+        minsupp_share=st.floats(0.01, 0.6),
+    )
+    def test_grown_index_remines_like_rebuild(self, rows, split_share, minsupp_share):
+        split = int(split_share * len(rows))
+        db = db_from_rows(rows[:split])
+        tl = TradeList.build(db)
+        minsupp = max(1, int(minsupp_share * len(rows)))
+        if split:
+            mine(tl, minsupp)
+        for t, row in enumerate(rows[split:], start=split):
+            tl.add_transaction(db.add_transaction(f"T{t + 1}", [f"I{i}" for i in row]))
+        rebuilt = TradeList.build(db)
+        assert tl == rebuilt
+        grown, fresh = remine(tl, minsupp), mine(rebuilt, minsupp)
+        assert grown.levels == fresh.levels
+        assert grown.stats.intersections == fresh.stats.intersections

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+from math import floor
 
 import pytest
 from hypothesis import given, settings
@@ -212,3 +213,27 @@ class TestFormatPercent:
     def test_half_rounds_away_from_zero(self):
         # 1/800 of 100% is 0.125%, which must round to 0.13, not 0.12.
         assert format_percent(Fraction(1, 800)) == "0.13%"
+
+    @pytest.mark.parametrize(
+        "value,text",
+        [
+            (Fraction(1, 8), "12.5%"),
+            (Fraction(1, 20000), "0.01%"),
+            (Fraction(1, 40000), "0%"),
+            (Fraction(2, 3), "66.67%"),
+            (1, "100%"),
+        ],
+    )
+    def test_rounding_boundaries(self, value, text):
+        assert format_percent(value) == text
+
+    @given(
+        st.fractions(min_value=0, max_value=1, max_denominator=10**7).filter(
+            lambda v: v > 0
+        )
+    )
+    def test_matches_fraction_formula(self, value):
+        hundredths = floor(Fraction(value) * 10000 + Fraction(1, 2))
+        whole, rest = divmod(hundredths, 100)
+        expected = f"{whole}.{rest:02d}".rstrip("0").rstrip(".") + "%"
+        assert format_percent(value) == expected
