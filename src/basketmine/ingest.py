@@ -38,24 +38,22 @@ def parse_into(db: Database, text: str) -> list[Transaction]:
     in ``db`` is rejected just like a duplicate within one document. The
     update is all or nothing: if any line is rejected, ``db`` is truncated
     back to its transactions and dictionaries on entry before the error
-    propagates, so it never runs ahead of an index built from it.
+    propagates, so it never runs ahead of an index built from it. Each row's
+    checks are those of :meth:`Database.add_transaction`; their errors gain
+    the ``line N:`` prefix and ``line`` attribute of the offending line.
     """
     n_tx, n_items, n_tids = len(db.transactions), len(db.items), len(db.tids)
     added: list[Transaction] = []
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
+            if not line or line[0] == "#":
                 continue
-            fields = [field.strip() for field in line.split(",")]
-            if any(not field for field in fields):
-                raise ParseError("empty field", line=lineno)
-            tid_label, item_labels = fields[0], fields[1:]
-            if not item_labels:
-                raise ParseError(f"transaction {tid_label!r} has no items", line=lineno)
-            if tid_label in db.tids:
-                raise DuplicateTidError(f"line {lineno}: duplicate TID {tid_label!r}")
-            added.append(db.add_transaction(tid_label, item_labels))
+            tid_label, *item_labels = line.split(",")
+            try:
+                added.append(db.add_transaction(tid_label, item_labels))
+            except (ParseError, DuplicateTidError) as exc:
+                raise type(exc)(str(exc), line=lineno) from None
     except MiningError:
         del db.transactions[n_tx:]
         db.items.truncate(n_items)

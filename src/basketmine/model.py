@@ -9,9 +9,10 @@ resolved back to strings only when rendering output.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
     "Database",
@@ -35,8 +36,8 @@ class MiningError(Exception):
     """Base class for every error this package raises."""
 
 
-class ParseError(MiningError):
-    """Malformed input document."""
+class _LineError(MiningError):
+    """An input error that can name the document line it came from."""
 
     def __init__(self, message: str, line: int | None = None) -> None:
         if line is not None:
@@ -45,7 +46,11 @@ class ParseError(MiningError):
         self.line = line
 
 
-class DuplicateTidError(MiningError):
+class ParseError(_LineError):
+    """Malformed input document."""
+
+
+class DuplicateTidError(_LineError):
     """A transaction id was seen more than once."""
 
 
@@ -82,9 +87,10 @@ def canonical_itemset(items: Iterable[int]) -> Itemset:
 class Interner:
     """Bijective label <-> dense-ordinal map; ordinals follow first appearance.
 
-    Labels are trimmed of surrounding whitespace and must be non-empty after
-    trimming. Re-interning a known label is a no-op that returns the ordinal
-    assigned the first time.
+    ``intern``, ``in`` and ``ordinal`` trim surrounding whitespace, and
+    ``intern`` rejects a label that is empty after trimming. ``intern_all``
+    takes labels its caller has already trimmed and checked. Re-interning a
+    known label is a no-op that returns the ordinal assigned the first time.
     """
 
     __slots__ = ("_labels", "_by_label")
@@ -103,12 +109,22 @@ class Interner:
         label = label.strip()
         if not label:
             raise ParseError("empty label")
-        ordinal = self._by_label.get(label)
-        if ordinal is None:
-            ordinal = len(self._labels)
-            self._by_label[label] = ordinal
+        return self.intern_trimmed(label)
+
+    def intern_trimmed(self, label: str) -> int:
+        """:meth:`intern` for a label the caller has already trimmed and checked."""
+        n = len(self._labels)
+        ordinal = self._by_label.setdefault(label, n)
+        if ordinal == n:
             self._labels.append(label)
         return ordinal
+
+    def intern_all(self, labels: Sequence[str]) -> set[int]:
+        """The ordinals of already trimmed, checked labels; new ones intern in order."""
+        ordinals = set(map(self._by_label.get, labels))
+        if None in ordinals:
+            ordinals = set(map(self.intern_trimmed, labels))
+        return ordinals
 
     def ordinal(self, label: str) -> int:
         try:
@@ -139,18 +155,35 @@ class Transaction:
     items: Itemset
 
     def __post_init__(self) -> None:
-        if not self.items:
+        items = self.items
+        if not items:
             raise MiningError(f"transaction {self.tid} has no items")
-        if any(a >= b for a, b in zip(self.items, self.items[1:])):
+        if not all(map(operator.lt, items, items[1:])):
             raise MiningError(f"transaction {self.tid} items not strictly increasing")
 
     def __len__(self) -> int:
         return len(self.items)
 
 
-def _check_label(label: str) -> None:
-    if any(ch in label for ch in ",\n\r"):
-        raise ParseError(f"label {label!r} contains a reserved character")
+def _check_labels(tid_label: str, item_labels: list[str]) -> None:
+    """Reject labels the text format cannot write back; both are already trimmed.
+
+    Runs before the caller's duplicate-TID lookup, so a malformed row raises
+    ``ParseError`` even when its TID is also taken.
+    """
+    if not tid_label:
+        raise ParseError("empty TID")
+    if tid_label[0] == "#":
+        raise ParseError(f"TID {tid_label!r} would read back as a comment")
+    if not item_labels:
+        raise ParseError(f"transaction {tid_label!r} has no items")
+    if "" in item_labels:
+        raise ParseError(f"transaction {tid_label!r} has an empty item")
+    joined = tid_label + "".join(item_labels)
+    if "," in joined or "\n" in joined or "\r" in joined:
+        for label in (tid_label, *item_labels):
+            if "," in label or "\n" in label or "\r" in label:
+                raise ParseError(f"label {label!r} contains a reserved character")
 
 
 class Database:
@@ -174,23 +207,19 @@ class Database:
     def add_transaction(self, tid_label: str, item_labels: Iterable[str]) -> Transaction:
         """Intern and append one transaction; duplicate items collapse silently.
 
-        Labels must be representable in the text format: no commas or line
-        breaks, and a TID may not start with the comment marker.
+        Labels are trimmed and must be representable in the text format:
+        non-empty, no commas or line breaks, and a TID may not start with the
+        comment marker. Every label is checked before any is interned, so a
+        rejected row leaves the database as it was.
         """
         tid_label = tid_label.strip()
-        _check_label(tid_label)
-        if tid_label.startswith("#"):
-            raise ParseError(f"TID {tid_label!r} would read back as a comment")
-        if tid_label in self.tids:
+        labels = [label.strip() for label in item_labels]
+        _check_labels(tid_label, labels)
+        n_tids = len(self.tids)
+        tid = self.tids.intern_trimmed(tid_label)
+        if tid < n_tids:
             raise DuplicateTidError(f"duplicate TID {tid_label!r}")
-        labels = list(item_labels)
-        if not labels:
-            raise ParseError(f"transaction {tid_label!r} has no items")
-        for label in labels:
-            _check_label(label)
-        ordinals = sorted({self.items.intern(label) for label in labels})
-        tid = self.tids.intern(tid_label)
-        tx = Transaction(tid, tuple(ordinals))
+        tx = Transaction(tid, tuple(sorted(self.items.intern_all(labels))))
         self.transactions.append(tx)
         return tx
 

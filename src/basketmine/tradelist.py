@@ -109,12 +109,16 @@ class TradeList:
 
     def serialize_log(self) -> str:
         """One ``<item> = <tid>, <tid>, ...`` line per item, first-appearance order."""
-        items, tids = self._db.items, self._db.tids
-        lines = []
-        for item, tidset in enumerate(self._tidsets):
-            joined = ", ".join(tids.label(t) for t in tidset)
-            lines.append(f"{items.label(item)} = {joined}")
-        return "".join(line + "\n" for line in lines)
+        items, tids = self._db.items.labels(), self._db.tids.labels()
+        # Indexed items are below len(self._tidsets) and TIDs below n_transactions,
+        # so this one check stands in for a bounds check per entry.
+        if len(items) < len(self._tidsets) or len(tids) < self.n_transactions:
+            raise UnknownItemError("trade list indexes labels its database does not have")
+        tid_label = tids.__getitem__
+        return "".join(
+            f"{label} = {', '.join(map(tid_label, tidset))}\n"
+            for label, tidset in zip(items, self._tidsets)
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TradeList):

@@ -64,6 +64,60 @@ class TestParse:
             parse_into(db, "T1,B\n")
 
 
+pads = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def rendered_rows(draw):
+    """Rows of item indices and a document that should parse back to them.
+
+    Fields are padded with whitespace, items repeat after their first
+    appearance, and blank and ``#`` lines fall between rows.
+    """
+    rows = draw(db_rows(max_tx=8, max_items=6))
+    lines = []
+    for t, row in enumerate(rows):
+        lines.extend(draw(st.lists(st.sampled_from(["", "  ", "# note", " #T1,I1"]), max_size=2)))
+        items = [*row, *draw(st.lists(st.sampled_from(row), max_size=2))]
+        fields = [f"T{t + 1}", *(f"I{i}" for i in items)]
+        lines.append(",".join(draw(pads) + field + draw(pads) for field in fields))
+    return rows, "\n".join(lines)
+
+
+class TestParseRendered:
+    @given(rendered_rows())
+    def test_parses_equal_to_rows(self, case):
+        rows, doc = case
+        assert parse_database(doc) == db_from_rows(rows)
+
+
+BASE = "B1,I1\nB2,I2\n"
+
+
+@pytest.mark.parametrize(
+    "bad,error",
+    [
+        ("X1,,I1", ParseError),
+        ("X1, \t ,I1", ParseError),
+        ("X1", ParseError),
+        ("G1,I3", DuplicateTidError),
+        ("B2,I3", DuplicateTidError),
+    ],
+    ids=["empty-field", "whitespace-field", "tid-only", "dup-in-document", "dup-in-base"],
+)
+@given(before=st.integers(1, 6), after=st.integers(0, 3), blanks=st.integers(0, 2))
+def test_bad_line_names_its_line(bad, error, before, after, blanks):
+    lines = ["", "# comment"][:blanks] + [f"G{k},I{k % 3}" for k in range(1, before + 1)]
+    lineno = len(lines) + 1
+    lines += [bad] + [f"H{k},I1" for k in range(after)]
+    db = parse_database(BASE)
+    with pytest.raises(error) as info:
+        parse_into(db, "\n".join(lines))
+    assert info.value.line == lineno
+    assert str(info.value).startswith(f"line {lineno}: ")
+    assert db == parse_database(BASE)
+
+
 new_lines = st.builds(
     lambda tid, items: ",".join([tid, *items]),
     st.sampled_from(["T1", "T2", "T901", "T902", "T903", "U1"]),

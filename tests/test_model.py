@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basketmine.model import (
@@ -17,6 +17,9 @@ from basketmine.model import (
     canonical_itemset,
     resolve_threshold,
 )
+from basketmine.tradelist import TradeList
+
+from oracles import db_from_rows, db_rows
 
 labels = st.text(min_size=1).filter(lambda s: s.strip())
 
@@ -121,6 +124,34 @@ class TestDatabase:
         # Anything the text format cannot write back must not enter the model.
         with pytest.raises(ParseError):
             Database().add_transaction(tid, items)
+
+    @pytest.mark.parametrize(
+        "tid,items",
+        [("T1", ["a", "  "]), ("  ", ["x"]), ("T1", ["a", "b,c"]), ("#T1", ["a"])],
+    )
+    def test_rejected_row_interns_nothing(self, tid, items):
+        db = Database()
+        with pytest.raises(ParseError):
+            db.add_transaction(tid, items)
+        assert db == Database()
+        assert TradeList.build(db).serialize_log() == ""
+
+    @settings(max_examples=150)
+    @given(
+        rows=db_rows(max_tx=5, max_items=4),
+        tid=st.sampled_from(["T1", "T2", "T99", " T98 ", "", "  ", "#T1", "T1,T2", "T\n"]),
+        items=st.lists(
+            st.sampled_from(["I0", "I9", " J1 ", "", " ", "a,b", "a\rb", "\n"]), max_size=4
+        ),
+    )
+    def test_rejected_add_leaves_database_as_it_was(self, rows, tid, items):
+        db, snapshot = db_from_rows(rows), db_from_rows(rows)
+        try:
+            db.add_transaction(tid, items)
+        except MiningError:
+            assert db == snapshot
+        else:
+            assert db.n_transactions == snapshot.n_transactions + 1
 
     def test_unusual_but_legal_labels_round_trip(self):
         from basketmine.ingest import parse_database, write_database

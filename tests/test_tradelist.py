@@ -209,6 +209,19 @@ class TestSerializeLog:
     def test_trailing_newline(self, store9_db):
         assert TradeList.build(store9_db).serialize_log().endswith("T900\n")
 
+    @pytest.mark.parametrize("shrink", ["items", "tids"])
+    def test_labels_missing_from_database_raise(self, store9_db, shrink):
+        tl = TradeList.build(store9_db)
+        getattr(store9_db, shrink).truncate(4)
+        with pytest.raises(UnknownItemError):
+            tl.serialize_log()
+
+    def test_items_added_after_build_are_not_logged(self, store9_db):
+        tl = TradeList.build(store9_db)
+        before = tl.serialize_log()
+        store9_db.add_transaction("T910", ["I9"])
+        assert tl.serialize_log() == before
+
     @settings(deadline=None)
     @given(rows=db_rows(max_tx=10, max_items=8))
     def test_log_round_trips(self, rows):
