@@ -12,7 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Database, DuplicateTidError, MiningError, ParseError, Transaction
+from .model import (
+    Database,
+    DuplicateTidError,
+    MiningError,
+    ParseError,
+    Transaction,
+    UnknownItemError,
+)
 
 __all__ = [
     "SyntheticSpec",
@@ -69,10 +76,13 @@ def write_database(db: Database) -> str:
     first-appearance order on re-parse, so parse(write(db)) == db including
     both dictionaries.
     """
+    items, tids = db.items.labels(), db.tids.labels()
     lines = []
     for tx in db.transactions:
-        tid = db.tids.label(tx.tid)
-        lines.append(",".join([tid, *(db.items.label(i) for i in tx.items)]))
+        # Items are strictly increasing, so the first and last bound the row.
+        if not (0 <= tx.tid < len(tids) and 0 <= tx.items[0] and tx.items[-1] < len(items)):
+            raise UnknownItemError(f"transaction {tx.tid} has an ordinal its database lacks")
+        lines.append(",".join([tids[tx.tid], *map(items.__getitem__, tx.items)]))
     return "".join(line + "\n" for line in lines)
 
 

@@ -179,10 +179,13 @@ def _check_labels(tid_label: str, item_labels: list[str]) -> None:
         raise ParseError(f"transaction {tid_label!r} has no items")
     if "" in item_labels:
         raise ParseError(f"transaction {tid_label!r} has an empty item")
+    # Reserved: the field separator and every line boundary ``str.splitlines``
+    # breaks at (\n, \r, \v, \f, \x1c-\x1e, \x85, \u2028, \u2029), since the
+    # parser splits the document with it. The labels are non-empty here.
     joined = tid_label + "".join(item_labels)
-    if "," in joined or "\n" in joined or "\r" in joined:
+    if "," in joined or joined.splitlines()[0] != joined:
         for label in (tid_label, *item_labels):
-            if "," in label or "\n" in label or "\r" in label:
+            if "," in label or label.splitlines()[0] != label:
                 raise ParseError(f"label {label!r} contains a reserved character")
 
 
@@ -208,9 +211,10 @@ class Database:
         """Intern and append one transaction; duplicate items collapse silently.
 
         Labels are trimmed and must be representable in the text format:
-        non-empty, no commas or line breaks, and a TID may not start with the
-        comment marker. Every label is checked before any is interned, so a
-        rejected row leaves the database as it was.
+        non-empty, no commas and no line boundary that ``str.splitlines``
+        breaks at, and a TID may not start with the comment marker. Every
+        label is checked before any is interned, so a rejected row leaves the
+        database as it was.
         """
         tid_label = tid_label.strip()
         labels = [label.strip() for label in item_labels]

@@ -2,16 +2,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from basketmine import apriori
 from basketmine.apriori import (
     CandidateSet,
     ScanCounters,
-    _contains_sorted,
     count_support,
     generate_candidates,
     mine_apriori,
 )
 from basketmine.miner import mine
-from basketmine.model import Database
+from basketmine.model import Database, MiningError
 from basketmine.tradelist import TradeList
 
 from oracles import brute_frequents, db_from_rows, db_rows
@@ -39,28 +39,6 @@ class TestGenerateCandidates:
         assert generate_candidates([(0, 1), (2, 3)]).itemsets == []
 
 
-class TestContainsSorted:
-    @pytest.mark.parametrize(
-        "hay,needle,expected",
-        [
-            ((0, 1, 2, 4), (1, 4), True),
-            ((0, 1, 2, 4), (1, 3), False),
-            ((0, 1), (0, 1), True),
-            ((1,), (0,), False),
-            ((0, 2, 5, 9), (), True),
-        ],
-    )
-    def test_cases(self, hay, needle, expected):
-        assert _contains_sorted(hay, needle) is expected
-
-    @given(
-        hay=st.sets(st.integers(0, 30), max_size=12).map(sorted),
-        needle=st.sets(st.integers(0, 30), max_size=6).map(sorted),
-    )
-    def test_matches_set_semantics(self, hay, needle):
-        assert _contains_sorted(tuple(hay), tuple(needle)) == (set(needle) <= set(hay))
-
-
 class TestCountSupport:
     def test_pair_count(self, store9_db):
         i1, i2 = store9_db.items.ordinal("I1"), store9_db.items.ordinal("I2")
@@ -82,10 +60,72 @@ class TestCountSupport:
         assert counters.raw_passes == 1
         assert counters.containment_checks == 0
 
+    def test_candidates_of_different_lengths_rejected(self, store9_db):
+        with pytest.raises(MiningError):
+            count_support(store9_db, CandidateSet(2, [(0, 1), (2,), (0, 1, 3)]), ScanCounters())
+
     def test_containment_checks_counted(self, store9_db):
         counters = ScanCounters()
-        count_support(store9_db, CandidateSet(2, [(0, 1), (0, 2)]), counters)
-        assert counters.containment_checks == 2 * store9_db.n_transactions
+        for calls in (1, 2):
+            count_support(store9_db, CandidateSet(2, [(0, 1), (0, 2)]), counters)
+            assert counters.containment_checks == calls * 2 * store9_db.n_transactions
+
+    def test_supports_are_python_ints(self, store9_db):
+        cands = count_support(store9_db, CandidateSet(2, [(0, 1), (1, 2)]), ScanCounters())
+        assert [type(c) for c in cands.counts] == [int, int]
+        result = mine_apriori(store9_db, 2)
+        assert {type(fi.support) for fi in result} == {int}
+
+    def test_row_appended_between_calls_is_counted(self, store9_db):
+        # Nothing from a pass outlives it, so the next pass reads the new row.
+        pair = CandidateSet(2, [(0, 1)])
+        before = count_support(store9_db, pair, ScanCounters()).counts[0]
+        store9_db.add_transaction("T999", [store9_db.items.label(0), store9_db.items.label(1)])
+        assert count_support(store9_db, pair, ScanCounters()).counts == [before + 1]
+        assert mine_apriori(store9_db, 2).pairs() == brute_frequents(store9_db, 2)
+
+    @pytest.mark.parametrize("cells", [1, 7])
+    def test_block_size_changes_no_count(self, store9_db, monkeypatch, cells):
+        # 7 rows at level 1 leave a short last block of store9's 9 rows.
+        itemsets = [(0, 1), (0, 2), (1, 3), (2, 4)]
+        wanted = count_support(store9_db, CandidateSet(2, list(itemsets)), ScanCounters()).counts
+        expected = mine_apriori(store9_db, 2)
+        monkeypatch.setattr(apriori, "_BLOCK_CELLS", cells)
+        got = count_support(store9_db, CandidateSet(2, list(itemsets)), ScanCounters())
+        assert got.counts == wanted
+        result = mine_apriori(store9_db, 2)
+        assert result.levels == expected.levels
+        assert result.stats.raw_passes == expected.stats.raw_passes
+        assert result.stats.containment_checks == expected.stats.containment_checks
+
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data(), rows=db_rows(max_tx=30, max_items=8), ghost=st.booleans())
+    def test_counts_match_direct_subset_tests(self, data, rows, ghost):
+        db = db_from_rows(rows)
+        if ghost:
+            db.items.intern("ghost")  # an item no row contains
+        # Ordinals up to two past the dictionary, which no row can hold.
+        universe = len(db.items) + 2
+        k = data.draw(st.integers(1, min(4, universe)), label="k")
+        itemsets = data.draw(
+            st.lists(
+                st.sets(st.integers(0, universe - 1), min_size=k, max_size=k).map(
+                    lambda s: tuple(sorted(s))
+                ),
+                max_size=12,
+                unique=True,
+            ),
+            label="itemsets",
+        )
+        cells = data.draw(st.sampled_from([1, 7, 40, apriori._BLOCK_CELLS]), label="cells")
+        counters = ScanCounters()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(apriori, "_BLOCK_CELLS", cells)
+            cands = count_support(db, CandidateSet(k, list(itemsets)), counters)
+        direct = [sum(set(c) <= set(tx.items) for tx in db.transactions) for c in itemsets]
+        assert cands.counts == direct
+        assert counters.raw_passes == 1
+        assert counters.containment_checks == len(itemsets) * db.n_transactions
 
 
 class TestMineApriori:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from basketmine.cli import BENCH_CSV_HEADER, main
@@ -409,6 +411,22 @@ class TestBenchCmd:
         assert code == 0
         rows = self.parse_csv(stdout)
         assert rows["tradelist"][3] == rows["apriori"][3] > 0
+
+    def test_counters_pinned_on_a_seeded_file(self, tmp_path, capsys):
+        # 300 seeded rows over 24 skewed items: Apriori counts candidate
+        # levels 2 to 5, the last one fruitless. How candidates are counted
+        # may change; the passes and the work reported for them may not.
+        rng = random.Random(4)
+        lines = []
+        for t in range(1, 301):
+            items = [i for i in range(24) if rng.random() < 0.7 / (1 + i / 3)] or [0]
+            lines.append(f"T{t}," + ",".join(f"I{i}" for i in items) + "\n")
+        src = tmp_path / "seeded.txt"
+        src.write_text("".join(lines))
+        code, stdout, _ = run(["bench", "--input", str(src), "--minsupp-frac", "0.03"], capsys)
+        assert code == 0
+        rows = {algo: counters[1:] for algo, counters in self.parse_csv(stdout).items()}
+        assert rows == {"tradelist": (1, 675, 261), "apriori": (5, 195277, 261)}
 
     def test_repeat_must_be_positive(self, capsys):
         code, _, stderr = run(

@@ -9,7 +9,13 @@ from basketmine.ingest import (
     parse_into,
     write_database,
 )
-from basketmine.model import DuplicateTidError, MiningError, ParseError
+from basketmine.model import (
+    DuplicateTidError,
+    MiningError,
+    ParseError,
+    Transaction,
+    UnknownItemError,
+)
 from basketmine.tradelist import TradeList
 
 from oracles import db_from_rows, db_rows
@@ -181,6 +187,17 @@ class TestWrite:
 
     def test_round_trip_store9(self, store9_db):
         assert parse_database(write_database(store9_db)) == store9_db
+
+    @pytest.mark.parametrize(
+        "tid,items", [(1, (0, 2)), (1, (-1, 0)), (1, (0, 1, 5)), (2, (0,)), (-1, (0,))]
+    )
+    def test_ordinal_outside_the_dictionaries_raises(self, tid, items):
+        # Two items and two TIDs; the row is appended by hand, bypassing interning.
+        db = parse_database("T1,a,b\n")
+        db.tids.intern("T2")
+        db.transactions.append(Transaction(tid, items))
+        with pytest.raises(UnknownItemError):
+            write_database(db)
 
 
 class TestSynthetic:

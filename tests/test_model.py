@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from basketmine.ingest import parse_database, write_database
 from basketmine.model import (
     Database,
     DuplicateTidError,
@@ -22,6 +23,9 @@ from basketmine.tradelist import TradeList
 from oracles import db_from_rows, db_rows
 
 labels = st.text(min_size=1).filter(lambda s: s.strip())
+
+#: The field separator and every line boundary ``str.splitlines`` breaks at.
+RESERVED = ",\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 class TestInterner:
@@ -124,6 +128,52 @@ class TestDatabase:
         # Anything the text format cannot write back must not enter the model.
         with pytest.raises(ParseError):
             Database().add_transaction(tid, items)
+
+    @pytest.mark.parametrize("sep", list(RESERVED))
+    def test_every_reserved_character_rejected_in_items_and_tids(self, sep):
+        db = Database()
+        db.add_transaction("T0", ["c"])
+        snapshot = parse_database(write_database(db))
+        for tid, items in ((f"T{sep}1", ["c"]), ("T1", [f"a{sep}b", "c"])):
+            with pytest.raises(ParseError, match="reserved"):
+                db.add_transaction(tid, items)
+            assert db == snapshot
+
+    def test_vertical_tab_label_does_not_corrupt_a_round_trip(self):
+        # Written out, "a\vb" would read back as two lines, the second a row with TID "b".
+        db = Database()
+        with pytest.raises(ParseError):
+            db.add_transaction("T1", ["a\x0bb", "c"])
+        db.add_transaction("T1", ["a\x1fb", "c"])  # \x1f is no line boundary
+        assert parse_database(write_database(db)) == db
+
+    @settings(max_examples=200)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.text(alphabet="aab #\t\x1f" + RESERVED, max_size=4),
+                st.lists(st.text(alphabet="aabbc é\x1f" + RESERVED, max_size=4), max_size=4),
+            ),
+            max_size=8,
+        )
+    )
+    def test_accepted_rows_round_trip_and_reserved_ones_raise(self, rows):
+        db = Database()
+        for tid, items in rows:
+            before = (db.items.labels(), db.tids.labels(), list(db.transactions))
+            trimmed = [tid.strip(), *(item.strip() for item in items)]
+            if any(ch in RESERVED for label in trimmed for ch in label):
+                with pytest.raises(ParseError):
+                    db.add_transaction(tid, items)
+            else:
+                try:
+                    db.add_transaction(tid, items)
+                except (ParseError, DuplicateTidError):
+                    pass
+                else:
+                    continue
+            assert (db.items.labels(), db.tids.labels(), list(db.transactions)) == before
+        assert parse_database(write_database(db)) == db
 
     @pytest.mark.parametrize(
         "tid,items",
