@@ -6,67 +6,48 @@ without touching the raw data again. A level-wise baseline miner provides an
 independent route to the same answers for testing and benchmarking.
 """
 
-from .apriori import CandidateSet, ScanCounters, count_support, generate_candidates, mine_apriori
+from .apriori import mine_apriori
 from .ingest import SyntheticSpec, generate_synthetic, parse_database, parse_into, write_database
-from .miner import FrequentItemset, MineResult, MineStats, intersect, mine, remine
+from .miner import FrequentItemset, MineResult, MineStats, mine, remine
 from .model import (
     Database,
     DuplicateTidError,
-    Interner,
-    ItemId,
-    Itemset,
     MiningError,
     ParseError,
     SupportThreshold,
     ThresholdError,
-    Tid,
     Transaction,
     UnknownItemError,
-    canonical_itemset,
-    resolve_threshold,
 )
-from .rules import Rule, RuleQuery, confidence, format_percent, generate_rules, parse_confidence
-from .tradelist import TidSet, TradeList
+from .rules import Rule, RuleQuery, format_percent, generate_rules, parse_confidence
+from .tradelist import TradeList
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CandidateSet",
     "Database",
     "DuplicateTidError",
     "FrequentItemset",
-    "Interner",
-    "ItemId",
-    "Itemset",
     "MineResult",
     "MineStats",
     "MiningError",
     "ParseError",
     "Rule",
     "RuleQuery",
-    "ScanCounters",
     "SupportThreshold",
     "SyntheticSpec",
     "ThresholdError",
-    "Tid",
-    "TidSet",
     "TradeList",
     "Transaction",
     "UnknownItemError",
-    "canonical_itemset",
-    "confidence",
-    "count_support",
     "format_percent",
-    "generate_candidates",
     "generate_rules",
     "generate_synthetic",
-    "intersect",
     "mine",
     "mine_apriori",
     "parse_confidence",
     "parse_database",
     "parse_into",
     "remine",
-    "resolve_threshold",
     "write_database",
 ]

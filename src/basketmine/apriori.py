@@ -2,21 +2,21 @@
 
 The classic baseline (Agrawal & Srikant, VLDB 1994): level k costs one raw
 pass over the transactions to count its candidates, so the raw-pass counter
-grows with the depth of the result. Each pass reads ``db.transactions``
-afresh, a block of rows at a time, and checks the whole block against all of
-the level's candidates at once with numpy; nothing built during a pass
-outlives it. The work counter charges one containment check per
-(transaction, candidate) pair, and one per item read in the level-1 pass.
-It is single-threaded; its job in this package is to be an independent
-second route to the same answer as the tidset miner, and to make the
-scan-count difference measurable.
+grows with the depth of the result. ``count_support`` takes a list of
+same-length itemsets and returns their counts from one pass: it reads
+``db.transactions`` afresh, a block of rows at a time, and checks the whole
+block against all of the itemsets at once with numpy; nothing built during a
+pass outlives it. ``mine_apriori`` tallies the counters as it goes: one raw
+pass per counted level, one containment check per (transaction, candidate)
+pair, and one per item read in the level-1 pass. It is single-threaded; its
+job in this package is to be an independent second route to the same answer
+as the tidset miner, and to make the scan-count difference measurable.
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterator, Sequence
 
@@ -32,7 +32,7 @@ from .model import (
     resolve_threshold,
 )
 
-__all__ = ["CandidateSet", "ScanCounters", "count_support", "generate_candidates", "mine_apriori"]
+__all__ = ["count_support", "generate_candidates", "mine_apriori"]
 
 #: The most cells one block of a counting pass may take, so that its memory
 #: does not grow with |D|. A row of a candidate pass takes one boolean per
@@ -42,24 +42,7 @@ __all__ = ["CandidateSet", "ScanCounters", "count_support", "generate_candidates
 _BLOCK_CELLS = 1 << 18
 
 
-@dataclass
-class CandidateSet:
-    """Level-k candidates, in canonical order, with counters filled by counting."""
-
-    level: int
-    itemsets: list[Itemset]
-    counts: list[int] = field(default_factory=list)
-
-
-@dataclass
-class ScanCounters:
-    """Mutable instrumentation shared across one mining run."""
-
-    raw_passes: int = 0
-    containment_checks: int = 0
-
-
-def generate_candidates(frequents: Sequence[Itemset]) -> CandidateSet:
+def generate_candidates(frequents: Sequence[Itemset]) -> list[Itemset]:
     """Join k-itemsets sharing a (k-1)-prefix, then prune.
 
     A joined candidate survives only if every k-subset is itself frequent;
@@ -69,7 +52,7 @@ def generate_candidates(frequents: Sequence[Itemset]) -> CandidateSet:
     looked up.
     """
     if not frequents:
-        return CandidateSet(level=0, itemsets=[])
+        return []
     k = len(frequents[0])
     known = set(frequents)
     out: list[Itemset] = []
@@ -80,26 +63,19 @@ def generate_candidates(frequents: Sequence[Itemset]) -> CandidateSet:
             candidate = a + (b[-1],)
             if all(candidate[:i] + candidate[i + 1 :] in known for i in range(k - 1)):
                 out.append(candidate)
-    return CandidateSet(level=k + 1, itemsets=sorted(out))
+    return sorted(out)
 
 
-def count_support(db: Database, candidates: CandidateSet, counters: ScanCounters) -> CandidateSet:
-    """Count each candidate's containing transactions in one full pass.
+def count_support(db: Database, itemsets: Sequence[Itemset]) -> list[int]:
+    """Count each itemset's containing transactions in one full pass.
 
-    The candidates must all have one length. The pass is charged to
-    ``counters.raw_passes`` even if the candidate list is empty, because the
-    scan over the raw data is the cost being measured, and
-    ``counters.containment_checks`` grows by one per (transaction, candidate)
-    pair. Each block of rows becomes a boolean membership matrix over the
-    items the candidates use; a candidate is contained in a row when the row
-    holds all of its columns. An ordinal outside ``db.items`` is in no row.
+    The itemsets must all have one length. Each block of rows becomes a
+    boolean membership matrix over the items the itemsets use; an itemset is
+    contained in a row when the row holds all of its columns. An ordinal
+    outside ``db.items`` is in no row.
     """
-    counters.raw_passes += 1
-    itemsets = candidates.itemsets
-    counters.containment_checks += len(itemsets) * db.n_transactions
     if not itemsets:
-        candidates.counts = []
-        return candidates
+        return []
     if len(set(map(len, itemsets))) != 1:
         raise MiningError("candidates of different lengths")
     used = sorted(set(chain.from_iterable(itemsets)))
@@ -124,8 +100,7 @@ def count_support(db: Database, candidates: CandidateSet, counters: ScanCounters
         for columns in index[1:]:
             contained &= member[:, columns]
         counts += np.count_nonzero(contained, axis=0)
-    candidates.counts = counts.tolist()
-    return candidates
+    return counts.tolist()
 
 
 def _row_blocks(
@@ -154,14 +129,14 @@ def mine_apriori(db: Database, threshold: SupportThreshold | int) -> MineResult:
     """
     start = time.perf_counter()
     minsupp = resolve_threshold(threshold, db.n_transactions)
-    counters = ScanCounters()
 
-    # Level 1 is its own counting pass over the raw transactions.
-    counters.raw_passes += 1
+    # Level 1 is its own counting pass over the raw transactions, charged
+    # one containment check per item read.
+    raw_passes, checks = 1, 0
     item_counts = np.zeros(len(db.items), dtype=np.intp)
     for _, items in _row_blocks(db.transactions, 1):
         item_counts += np.bincount(items, minlength=len(db.items))
-        counters.containment_checks += len(items)
+        checks += len(items)
     current = [
         FrequentItemset((item,), count)
         for item, count in enumerate(item_counts.tolist())
@@ -172,17 +147,20 @@ def mine_apriori(db: Database, threshold: SupportThreshold | int) -> MineResult:
     while current:
         levels.append(current)
         candidates = generate_candidates([fi.itemset for fi in current])
-        if not candidates.itemsets:
+        if not candidates:
             break
-        count_support(db, candidates, counters)
+        # Each candidate level is one more pass, charged one check per
+        # (transaction, candidate) pair.
+        raw_passes += 1
+        checks += len(candidates) * db.n_transactions
         current = [
             FrequentItemset(itemset, count)
-            for itemset, count in zip(candidates.itemsets, candidates.counts)
+            for itemset, count in zip(candidates, count_support(db, candidates))
             if count >= minsupp
         ]
     stats = MineStats(
-        raw_passes=counters.raw_passes,
-        containment_checks=counters.containment_checks,
+        raw_passes=raw_passes,
+        containment_checks=checks,
         elapsed_s=time.perf_counter() - start,
     )
     return MineResult(levels, stats)

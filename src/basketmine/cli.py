@@ -113,10 +113,9 @@ def _require_confidence(cfg: RunConfig) -> RuleQuery:
     return RuleQuery(cfg.min_confidence)
 
 
-def _run_miner(db: Database, cfg: RunConfig) -> tuple[MineResult, int]:
-    """Mine with the configured algorithm; returns (result, raw passes used)."""
-    threshold = _require_threshold(cfg)
-    if cfg.algo == "apriori":
+def _run_miner(db: Database, algo: str, threshold: SupportThreshold) -> tuple[MineResult, int]:
+    """Mine with the named algorithm; returns (result, raw passes used)."""
+    if algo == "apriori":
         result = mine_apriori(db, threshold)
         return result, result.stats.raw_passes
     tl = TradeList.build(db)
@@ -150,7 +149,7 @@ def cmd_tradelist(cfg: RunConfig) -> int:
 
 def cmd_mine(cfg: RunConfig) -> int:
     db = _load_database(cfg)
-    result, raw_passes = _run_miner(db, cfg)
+    result, raw_passes = _run_miner(db, cfg.algo, _require_threshold(cfg))
     path = _out_path(cfg, "freq")
     _write_text(path, format_freq_log(result, db))
     _print_mine_summary(result, raw_passes)
@@ -161,7 +160,7 @@ def cmd_mine(cfg: RunConfig) -> int:
 def cmd_rules(cfg: RunConfig) -> int:
     query = _require_confidence(cfg)
     db = _load_database(cfg)
-    result, raw_passes = _run_miner(db, cfg)
+    result, raw_passes = _run_miner(db, cfg.algo, _require_threshold(cfg))
     rules = generate_rules(result, query)
     path = _out_path(cfg, "conf")
     _write_text(path, format_rules_log(rules, db))
@@ -221,25 +220,15 @@ def cmd_bench(cfg: RunConfig) -> int:
         raise UsageError("--repeat must be >= 1")
     db = _load_database(cfg)
 
-    def run_tradelist() -> tuple[MineResult, int, float]:
-        t0 = time.perf_counter()
-        tl = TradeList.build(db)
-        result = mine(tl, threshold)
-        return result, tl.raw_passes + result.stats.raw_passes, time.perf_counter() - t0
-
-    def run_apriori() -> tuple[MineResult, int, float]:
-        t0 = time.perf_counter()
-        result = mine_apriori(db, threshold)
-        return result, result.stats.raw_passes, time.perf_counter() - t0
-
     rows = []
     results = {}
-    for algo, runner in (("tradelist", run_tradelist), ("apriori", run_apriori)):
+    for algo in ("tradelist", "apriori"):
         times = []
         result = raw = None
         for _ in range(cfg.repeat):
-            result, raw, elapsed = runner()
-            times.append(elapsed)
+            t0 = time.perf_counter()
+            result, raw = _run_miner(db, algo, threshold)
+            times.append(time.perf_counter() - t0)
         assert result is not None and raw is not None
         results[algo] = (result, raw)
         rows.append((algo, median(times) * 1000, raw, result.stats.work_ops, result.n_itemsets))
@@ -381,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MiningError, OSError) as exc:
+    except (MiningError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

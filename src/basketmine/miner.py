@@ -16,24 +16,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .model import Itemset, SupportThreshold, resolve_threshold
+from .tradelist import TradeList
 
-if TYPE_CHECKING:
-    from .tradelist import TradeList
-
-__all__ = ["FrequentItemset", "MineResult", "MineStats", "intersect", "mine", "remine"]
-
-
-def intersect(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Intersection of two strictly increasing sequences, as a sorted list."""
-    if len(a) > len(b):
-        a, b = b, a
-    members = set(b)
-    return [x for x in a if x in members]
+__all__ = ["FrequentItemset", "MineResult", "MineStats", "mine", "remine"]
 
 
 def _bitmap(tids: Sequence[int], n_transactions: int) -> int:
@@ -104,7 +94,7 @@ class MineResult:
         return {fi.itemset: fi.support for fi in self}
 
 
-def mine(tl: "TradeList", threshold: SupportThreshold | int) -> MineResult:
+def mine(tl: TradeList, threshold: SupportThreshold | int) -> MineResult:
     """Mine every itemset whose tidset meets the threshold.
 
     Singleton supports are read straight off the tidset lengths (no
@@ -154,11 +144,7 @@ def mine(tl: "TradeList", threshold: SupportThreshold | int) -> MineResult:
     return MineResult(levels, stats)
 
 
-def remine(tl: "TradeList", new_threshold: SupportThreshold | int) -> MineResult:
-    """Mine again at a changed threshold.
-
-    Same contract as :func:`mine`; it exists as a named entry point for the
-    support-change scenario, where the whole point is that no raw-database
-    pass occurs (``stats.raw_passes == 0``).
-    """
-    return mine(tl, new_threshold)
+#: Mine again at a changed threshold: the same function as :func:`mine`,
+#: named for the support-change scenario, where no raw-database pass occurs
+#: (``stats.raw_passes == 0``).
+remine = mine

@@ -12,22 +12,19 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "Database",
     "DuplicateTidError",
     "Interner",
-    "ItemId",
     "Itemset",
     "MiningError",
     "ParseError",
     "SupportThreshold",
     "ThresholdError",
-    "Tid",
     "Transaction",
     "UnknownItemError",
-    "canonical_itemset",
     "resolve_threshold",
 ]
 
@@ -62,26 +59,8 @@ class ThresholdError(MiningError):
     """Support threshold is invalid or cannot be resolved."""
 
 
-class ItemId(NamedTuple):
-    ordinal: int
-    label: str
-
-
-class Tid(NamedTuple):
-    ordinal: int
-    label: str
-
-
 #: An itemset is a strictly increasing tuple of item ordinals.
 Itemset = tuple[int, ...]
-
-
-def canonical_itemset(items: Iterable[int]) -> Itemset:
-    """Sort and deduplicate into the canonical ascending-ordinal form."""
-    out = tuple(sorted(set(items)))
-    if not out:
-        raise MiningError("empty itemset")
-    return out
 
 
 class Interner:
@@ -227,12 +206,6 @@ class Database:
         self.transactions.append(tx)
         return tx
 
-    def item(self, ordinal: int) -> ItemId:
-        return ItemId(ordinal, self.items.label(ordinal))
-
-    def tid(self, ordinal: int) -> Tid:
-        return Tid(ordinal, self.tids.label(ordinal))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Database):
             return NotImplemented
@@ -252,7 +225,8 @@ class SupportThreshold:
 
     A fractional threshold resolves to ``max(1, ceil(fraction * n))`` so that
     "support >= threshold" matches the percentage reading exactly; ceiling is
-    used, never rounding.
+    used, never rounding. A count must be integral (``operator.index``): a
+    float or a string is rejected rather than truncated.
     """
 
     count: int | None = None
@@ -261,14 +235,23 @@ class SupportThreshold:
     def __post_init__(self) -> None:
         if (self.count is None) == (self.fraction is None):
             raise ThresholdError("exactly one of count or fraction must be given")
-        if self.count is not None and self.count < 1:
-            raise ThresholdError(f"absolute support must be >= 1, got {self.count}")
+        if self.count is not None:
+            try:
+                count = operator.index(self.count)
+            except TypeError:
+                raise ThresholdError(
+                    f"absolute support must be an integer count, got {self.count!r}; "
+                    "use SupportThreshold.fractional for a share of the transactions"
+                ) from None
+            if count < 1:
+                raise ThresholdError(f"absolute support must be >= 1, got {count}")
+            object.__setattr__(self, "count", count)
         if self.fraction is not None and not 0 < self.fraction <= 1:
             raise ThresholdError(f"fractional support must be in (0, 1], got {self.fraction}")
 
     @classmethod
     def absolute(cls, count: int) -> "SupportThreshold":
-        return cls(count=int(count))
+        return cls(count=count)
 
     @classmethod
     def fractional(cls, value: Fraction | str | float | int) -> "SupportThreshold":

@@ -1,16 +1,16 @@
 """The trade list: a vertical index mapping each item to its sorted tidset.
 
 Built from one pass over the horizontal database, it answers every support
-question from tidset lengths and intersections, absorbs new transactions by
-appending ordinals, and keeps a counter of how many raw-database scans were
-ever performed (exactly one: the build).
+question from tidset lengths and from tidset intersections, which
+``intersect`` here computes. It absorbs new transactions by appending
+ordinals, and keeps a counter of how many raw-database scans were ever
+performed (exactly one: the build).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .miner import intersect
 from .model import (
     Database,
     DuplicateTidError,
@@ -19,10 +19,15 @@ from .model import (
     UnknownItemError,
 )
 
-__all__ = ["TidSet", "TradeList"]
+__all__ = ["TradeList", "intersect"]
 
-#: A tidset is a strictly increasing list of transaction ordinals.
-TidSet = list[int]
+
+def intersect(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Intersection of two strictly increasing sequences, as a sorted list."""
+    if len(a) > len(b):
+        a, b = b, a
+    members = set(b)
+    return [x for x in a if x in members]
 
 
 class TradeList:
@@ -38,7 +43,7 @@ class TradeList:
 
     def __init__(self, db: Database) -> None:
         self._db = db
-        self._tidsets: list[TidSet] = [[] for _ in range(len(db.items))]
+        self._tidsets: list[list[int]] = [[] for _ in range(len(db.items))]
         self.n_transactions = 0
         self.raw_passes = 0
 
@@ -92,20 +97,17 @@ class TradeList:
         """Support of one item: the length of its tidset."""
         return len(self.tidset(item))
 
-    def tidset_of(self, itemset: Iterable[int]) -> TidSet:
+    def tidset_of(self, itemset: Iterable[int]) -> list[int]:
         """Tidset of an itemset via pairwise intersection, smallest sets first."""
         member_sets = sorted((self.tidset(i) for i in set(itemset)), key=len)
         if not member_sets:
             raise MiningError("empty itemset")
-        acc: TidSet = list(member_sets[0])
+        acc = list(member_sets[0])
         for tids in member_sets[1:]:
             if not acc:
                 break
             acc = intersect(acc, tids)
         return acc
-
-    def support(self, itemset: Iterable[int]) -> int:
-        return len(self.tidset_of(itemset))
 
     def serialize_log(self) -> str:
         """One ``<item> = <tid>, <tid>, ...`` line per item, first-appearance order."""

@@ -1,0 +1,96 @@
+"""The public API is pinned: ``basketmine.__all__``, the names the README
+imports, and every name the benchmark harness under ``perfbench/`` imports or
+patches. The harness files are read with ``ast``, never imported, so a later
+trim that would break them fails here first.
+"""
+
+import ast
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
+
+import basketmine
+from basketmine import cli
+from basketmine.model import Database
+from basketmine.tradelist import TradeList
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+PUBLIC = {
+    "Database", "DuplicateTidError", "FrequentItemset", "MineResult", "MineStats",
+    "MiningError", "ParseError", "Rule", "RuleQuery", "SupportThreshold",
+    "SyntheticSpec", "ThresholdError", "TradeList", "Transaction", "UnknownItemError",
+    "format_percent", "generate_rules", "generate_synthetic", "mine", "mine_apriori",
+    "parse_confidence", "parse_database", "parse_into", "remine", "write_database",
+}
+
+#: The package's modules; ``__main__`` is left out, since importing it runs the CLI.
+SUBMODULES = {
+    info.name for info in pkgutil.iter_modules(basketmine.__path__) if info.name != "__main__"
+}
+
+
+def basketmine_imports(source: str) -> list[tuple[str, str]]:
+    """Every ``(module, name)`` that a ``from basketmine... import name`` in ``source`` reads."""
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "basketmine"
+        for alias in node.names
+    ]
+
+
+def test_all_is_the_supported_api():
+    assert len(basketmine.__all__) == len(PUBLIC)
+    assert set(basketmine.__all__) == PUBLIC
+
+
+@pytest.mark.parametrize("module", ["basketmine", *sorted(f"basketmine.{m}" for m in SUBMODULES)])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []
+
+
+def test_readme_imports_only_the_supported_api():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    lines = re.findall(r"^from basketmine import .*$", text, flags=re.MULTILINE)
+    assert lines, "README shows no library import"
+    for _, name in basketmine_imports("\n".join(lines)):
+        assert name in basketmine.__all__, name
+
+
+@pytest.mark.parametrize("name", ["run.py", "test_oracle.py", "spans.py"])
+def test_benchmark_imports_resolve(name):
+    imports = basketmine_imports((PERFBENCH / name).read_text(encoding="utf-8"))
+    assert imports
+    for module, attr in imports:
+        if module == "basketmine":
+            # A package-level name is either supported API or a submodule.
+            assert attr in basketmine.__all__ or attr in SUBMODULES, attr
+        else:
+            assert hasattr(importlib.import_module(module), attr), f"{module}.{attr}"
+
+
+def test_benchmark_tracer_patch_points_exist():
+    # The tracer swaps ``owner.attr`` for a wrapper and reads the original
+    # from ``vars(owner)``, so each must be defined on that very object.
+    owners = {"cli": cli, "Database": Database, "TradeList": TradeList}
+    tree = ast.parse((PERFBENCH / "spans.py").read_text(encoding="utf-8"))
+    points = [
+        (node.elts[0].id, node.elts[1].value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Tuple)
+        and len(node.elts) >= 2
+        and isinstance(node.elts[0], ast.Name)
+        and node.elts[0].id in owners
+        and isinstance(node.elts[1], ast.Constant)
+        and isinstance(node.elts[1].value, str)
+    ]
+    assert ("cli", "remine") in points and ("cli", "mine_apriori") in points
+    for owner, attr in points:
+        assert attr in vars(owners[owner]), f"{owner}.{attr}"

@@ -3,13 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basketmine import apriori
-from basketmine.apriori import (
-    CandidateSet,
-    ScanCounters,
-    count_support,
-    generate_candidates,
-    mine_apriori,
-)
+from basketmine.apriori import count_support, generate_candidates, mine_apriori
 from basketmine.miner import mine
 from basketmine.model import Database, MiningError
 from basketmine.tradelist import TradeList
@@ -19,80 +13,59 @@ from oracles import brute_frequents, db_from_rows, db_rows
 
 class TestGenerateCandidates:
     def test_singletons_join_to_all_pairs(self):
-        cands = generate_candidates([(0,), (1,), (2,)])
-        assert cands.level == 2
-        assert cands.itemsets == [(0, 1), (0, 2), (1, 2)]
+        assert generate_candidates([(0,), (1,), (2,)]) == [(0, 1), (0, 2), (1, 2)]
 
     def test_triple_survives_when_all_pairs_frequent(self):
-        cands = generate_candidates([(0, 1), (0, 2), (1, 2)])
-        assert cands.itemsets == [(0, 1, 2)]
-        assert cands.level == 3
+        assert generate_candidates([(0, 1), (0, 2), (1, 2)]) == [(0, 1, 2)]
 
     def test_triple_pruned_when_a_pair_is_missing(self):
-        assert generate_candidates([(0, 1), (0, 2)]).itemsets == []
+        assert generate_candidates([(0, 1), (0, 2)]) == []
 
     def test_empty_input(self):
-        assert generate_candidates([]).itemsets == []
+        assert generate_candidates([]) == []
 
     def test_join_requires_shared_prefix(self):
         # (0,1) and (2,3) share no 1-prefix, so no join at all.
-        assert generate_candidates([(0, 1), (2, 3)]).itemsets == []
+        assert generate_candidates([(0, 1), (2, 3)]) == []
 
 
 class TestCountSupport:
     def test_pair_count(self, store9_db):
         i1, i2 = store9_db.items.ordinal("I1"), store9_db.items.ordinal("I2")
-        cands = CandidateSet(2, [tuple(sorted((i1, i2)))])
-        counters = ScanCounters()
-        count_support(store9_db, cands, counters)
-        assert cands.counts == [4]
-        assert counters.raw_passes == 1
+        assert count_support(store9_db, [tuple(sorted((i1, i2)))]) == [4]
 
     def test_triple_count(self, store9_db):
         ords = tuple(sorted(store9_db.items.ordinal(x) for x in ("I1", "I2", "I4")))
-        cands = CandidateSet(3, [ords])
-        count_support(store9_db, cands, ScanCounters())
-        assert cands.counts == [1]
+        assert count_support(store9_db, [ords]) == [1]
 
-    def test_empty_candidate_set_still_counts_the_pass(self, store9_db):
-        counters = ScanCounters()
-        count_support(store9_db, CandidateSet(2, []), counters)
-        assert counters.raw_passes == 1
-        assert counters.containment_checks == 0
+    def test_no_itemsets_no_counts(self, store9_db):
+        assert count_support(store9_db, []) == []
 
     def test_candidates_of_different_lengths_rejected(self, store9_db):
         with pytest.raises(MiningError):
-            count_support(store9_db, CandidateSet(2, [(0, 1), (2,), (0, 1, 3)]), ScanCounters())
-
-    def test_containment_checks_counted(self, store9_db):
-        counters = ScanCounters()
-        for calls in (1, 2):
-            count_support(store9_db, CandidateSet(2, [(0, 1), (0, 2)]), counters)
-            assert counters.containment_checks == calls * 2 * store9_db.n_transactions
+            count_support(store9_db, [(0, 1), (2,), (0, 1, 3)])
 
     def test_supports_are_python_ints(self, store9_db):
-        cands = count_support(store9_db, CandidateSet(2, [(0, 1), (1, 2)]), ScanCounters())
-        assert [type(c) for c in cands.counts] == [int, int]
+        counts = count_support(store9_db, [(0, 1), (1, 2)])
+        assert [type(c) for c in counts] == [int, int]
         result = mine_apriori(store9_db, 2)
         assert {type(fi.support) for fi in result} == {int}
 
     def test_row_appended_between_calls_is_counted(self, store9_db):
         # Nothing from a pass outlives it, so the next pass reads the new row.
-        pair = CandidateSet(2, [(0, 1)])
-        before = count_support(store9_db, pair, ScanCounters()).counts[0]
+        (before,) = count_support(store9_db, [(0, 1)])
         store9_db.add_transaction("T999", [store9_db.items.label(0), store9_db.items.label(1)])
-        assert count_support(store9_db, pair, ScanCounters()).counts == [before + 1]
+        assert count_support(store9_db, [(0, 1)]) == [before + 1]
         assert mine_apriori(store9_db, 2).pairs() == brute_frequents(store9_db, 2)
 
     @pytest.mark.parametrize("cells", [1, 7])
     def test_block_size_changes_no_count(self, store9_db, monkeypatch, cells):
         # 7 rows at level 1 leave a short last block of store9's 9 rows.
         itemsets = [(0, 1), (0, 2), (1, 3), (2, 4)]
-        wanted = count_support(store9_db, CandidateSet(2, list(itemsets)), ScanCounters()).counts
+        wanted = count_support(store9_db, itemsets)
         expected = mine_apriori(store9_db, 2)
         monkeypatch.setattr(apriori, "_BLOCK_CELLS", cells)
-        got = count_support(store9_db, CandidateSet(2, list(itemsets)), ScanCounters())
-        assert got.counts == wanted
+        assert count_support(store9_db, itemsets) == wanted
         result = mine_apriori(store9_db, 2)
         assert result.levels == expected.levels
         assert result.stats.raw_passes == expected.stats.raw_passes
@@ -118,14 +91,27 @@ class TestCountSupport:
             label="itemsets",
         )
         cells = data.draw(st.sampled_from([1, 7, 40, apriori._BLOCK_CELLS]), label="cells")
-        counters = ScanCounters()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(apriori, "_BLOCK_CELLS", cells)
-            cands = count_support(db, CandidateSet(k, list(itemsets)), counters)
+            counts = count_support(db, itemsets)
         direct = [sum(set(c) <= set(tx.items) for tx in db.transactions) for c in itemsets]
-        assert cands.counts == direct
-        assert counters.raw_passes == 1
-        assert counters.containment_checks == len(itemsets) * db.n_transactions
+        assert counts == direct
+
+
+def recount(db, minsupp):
+    """``(raw_passes, containment_checks)`` rebuilt from the level-wise parts.
+
+    Level 1 is one pass charged one check per item read; every non-empty
+    candidate level after it is one pass charged ``|C_k| * |D|`` checks.
+    """
+    raw_passes, checks = 1, sum(len(tx) for tx in db.transactions)
+    singles = [(item,) for item in range(len(db.items))]
+    frequent = [s for s, n in zip(singles, count_support(db, singles)) if n >= minsupp]
+    while candidates := generate_candidates(frequent):
+        raw_passes += 1
+        checks += len(candidates) * db.n_transactions
+        frequent = [c for c, n in zip(candidates, count_support(db, candidates)) if n >= minsupp]
+    return raw_passes, checks
 
 
 class TestMineApriori:
@@ -148,6 +134,18 @@ class TestMineApriori:
         assert result.stats.raw_passes == 3
         assert result.stats.intersections == 0
         assert result.stats.containment_checks > 0
+
+    @pytest.mark.parametrize("minsupp", [1, 2, 3, 10])
+    def test_counters_recomputed_from_the_passes(self, store9_db, minsupp):
+        stats = mine_apriori(store9_db, minsupp).stats
+        assert (stats.raw_passes, stats.containment_checks) == recount(store9_db, minsupp)
+
+    @settings(deadline=None, max_examples=80)
+    @given(rows=db_rows(max_tx=12, max_items=8), minsupp=st.integers(1, 4))
+    def test_counters_recomputed_on_random_databases(self, rows, minsupp):
+        db = db_from_rows(rows)
+        stats = mine_apriori(db, minsupp).stats
+        assert (stats.raw_passes, stats.containment_checks) == recount(db, minsupp)
 
     def test_no_frequent_singles_is_one_pass(self, store9_db):
         result = mine_apriori(store9_db, 10)
@@ -193,7 +191,7 @@ class TestMineApriori:
         for size, itemsets in sorted(by_size.items()):
             if size + 1 not in by_size:
                 continue
-            candidates = set(generate_candidates(sorted(itemsets)).itemsets)
+            candidates = set(generate_candidates(sorted(itemsets)))
             for bigger in by_size[size + 1]:
                 assert bigger in candidates
 
@@ -209,8 +207,7 @@ def test_candidate_counts_match_brute_subsets(store9_db):
     """Every surviving level-2 candidate count agrees with a direct scan."""
     l1 = [fi.itemset for fi in mine_apriori(store9_db, 2).levels[0]]
     cands = generate_candidates(l1)
-    count_support(store9_db, cands, ScanCounters())
-    for itemset, count in zip(cands.itemsets, cands.counts):
+    for itemset, count in zip(cands, count_support(store9_db, cands)):
         wanted = set(itemset)
         direct = sum(1 for tx in store9_db.transactions if wanted <= set(tx.items))
         assert count == direct

@@ -191,6 +191,17 @@ class TestMineCmd:
         assert code == 2
         assert "--synthetic" in stderr
 
+    def test_input_not_utf8(self, tmp_path, capsys):
+        src = tmp_path / "bad.txt"
+        src.write_bytes(b"T1,A\xff\n")
+        out = tmp_path / "freq.log"
+        code, _, stderr = run(
+            ["mine", "--input", str(src), "--minsupp", "1", "--out", str(out)], capsys
+        )
+        assert code == 1
+        assert stderr.startswith("error: ") and "0xff" in stderr
+        assert not out.exists()
+
 
 class TestRulesCmd:
     def test_store9_six_rules(self, tmp_path, capsys):
@@ -356,6 +367,20 @@ class TestUpdateCmd:
         )
         assert code == 1
         assert "T100" in stderr
+
+    def test_update_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"T910,I1\xff\n")
+        code, _, stderr = run(
+            [
+                "update", "--input", str(STORE9), "--update", str(bad),
+                "--minsupp", "2", "--minconf", "0.7", "--out", str(tmp_path / "u"),
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert stderr.startswith("error: ") and "0xff" in stderr
+        assert not (tmp_path / "u").exists()
 
     def test_requires_update_path(self, capsys):
         code, _, stderr = run(

@@ -4,48 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from basketmine.miner import intersect, mine, remine
+from basketmine.miner import mine, remine
 from basketmine.model import Database, SupportThreshold, ThresholdError
 from basketmine.tradelist import TradeList
 
 from oracles import brute_frequents, db_from_rows, db_rows
-
-sorted_ints = st.sets(st.integers(0, 200), max_size=40).map(sorted)
 
 
 def label_sets(db, result):
     return {
         (tuple(db.items.label(i) for i in fi.itemset), fi.support) for fi in result
     }
-
-
-class TestIntersect:
-    def test_known_pair(self):
-        assert intersect([0, 3, 7, 8], [0, 1, 2, 3, 5, 7, 8]) == [0, 3, 7, 8]
-
-    def test_idempotent(self):
-        xs = [1, 4, 9]
-        assert intersect(xs, xs) == xs
-
-    def test_empty_absorbs(self):
-        assert intersect([], [1, 2, 3]) == []
-        assert intersect([1, 2, 3], []) == []
-
-    def test_disjoint(self):
-        assert intersect([1, 3], [2, 4]) == []
-
-    @given(a=sorted_ints, b=sorted_ints)
-    def test_matches_set_intersection(self, a, b):
-        assert intersect(a, b) == sorted(set(a) & set(b))
-
-    @given(a=sorted_ints, b=sorted_ints)
-    def test_commutative(self, a, b):
-        assert intersect(a, b) == intersect(b, a)
-
-    def test_skewed_sizes_take_gallop_path(self):
-        small = [10, 999, 2500]
-        big = list(range(0, 3000, 5))
-        assert intersect(small, big) == sorted(set(small) & set(big))
 
 
 def as_label_levels(db, result):
@@ -98,6 +67,12 @@ class TestMine:
         # ceil(0.25 * 9) = 3
         frac = mine(TradeList.build(store9_db), SupportThreshold.fractional("0.25"))
         assert frac.pairs() == mine(TradeList.build(store9_db), 3).pairs()
+
+    @pytest.mark.parametrize("threshold", [2.9, 0.05])
+    def test_bare_float_threshold_rejected(self, store9_db, threshold):
+        # 2.9 once truncated to 2 and 0.05 to 0; neither is a count.
+        with pytest.raises(ThresholdError, match="SupportThreshold.fractional"):
+            mine(TradeList.build(store9_db), threshold)
 
     def test_empty_tradelist(self):
         result = mine(TradeList.build(Database()), 2)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,6 @@ from basketmine.model import (
     ThresholdError,
     Transaction,
     UnknownItemError,
-    canonical_itemset,
     resolve_threshold,
 )
 from basketmine.tradelist import TradeList
@@ -91,12 +91,6 @@ class TestTransaction:
 
     def test_len(self):
         assert len(Transaction(0, (1, 4, 7))) == 3
-
-
-def test_canonical_itemset_sorts_and_dedups():
-    assert canonical_itemset([3, 1, 3, 0]) == (0, 1, 3)
-    with pytest.raises(MiningError):
-        canonical_itemset([])
 
 
 class TestDatabase:
@@ -210,13 +204,6 @@ class TestDatabase:
         db.add_transaction("T 1", ["my item", "x#y", "ümlaut"])
         assert parse_database(write_database(db)) == db
 
-    def test_item_and_tid_handles(self):
-        db = Database()
-        db.add_transaction("T100", ["I1", "I2"])
-        assert db.item(0) == (0, "I1")
-        assert db.item(1).label == "I2"
-        assert db.tid(0) == (0, "T100")
-
     def test_equality(self):
         a, b = Database(), Database()
         for db in (a, b):
@@ -251,10 +238,15 @@ class TestSupportThreshold:
     def test_absolute_on_empty_database_is_fine(self):
         assert SupportThreshold.absolute(3).resolve(0) == 3
 
-    @pytest.mark.parametrize("count", [0, -1])
+    @pytest.mark.parametrize("count", [0, -1, 2.9, 0.05, "2"])
     def test_invalid_absolute(self, count):
         with pytest.raises(ThresholdError):
             SupportThreshold.absolute(count)
+
+    def test_numpy_integer_count_accepted(self):
+        threshold = SupportThreshold(count=np.int64(3))
+        assert threshold.resolve(9) == 3
+        assert type(threshold.count) is int
 
     @pytest.mark.parametrize("frac", ["0", "1.5", "-0.2"])
     def test_invalid_fraction(self, frac):

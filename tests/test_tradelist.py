@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from basketmine.ingest import parse_database, parse_into
 from basketmine.model import Database, DuplicateTidError, MiningError, UnknownItemError
-from basketmine.tradelist import TradeList
+from basketmine.tradelist import TradeList, intersect
 
 from oracles import brute_tidset, db_from_rows, db_rows, read_tradelist_log
+
+sorted_ints = st.sets(st.integers(0, 200), max_size=40).map(sorted)
 
 
 def tid_labels(db, tidset):
@@ -242,3 +244,32 @@ def test_update_file_flow(store9_db, store10_db):
         tl.add_transaction(tx)
     assert tl == TradeList.build(store10_db)
     assert store9_db == store10_db
+
+
+class TestIntersect:
+    def test_known_pair(self):
+        assert intersect([0, 3, 7, 8], [0, 1, 2, 3, 5, 7, 8]) == [0, 3, 7, 8]
+
+    def test_idempotent(self):
+        xs = [1, 4, 9]
+        assert intersect(xs, xs) == xs
+
+    def test_empty_absorbs(self):
+        assert intersect([], [1, 2, 3]) == []
+        assert intersect([1, 2, 3], []) == []
+
+    def test_disjoint(self):
+        assert intersect([1, 3], [2, 4]) == []
+
+    @given(a=sorted_ints, b=sorted_ints)
+    def test_matches_set_intersection(self, a, b):
+        assert intersect(a, b) == sorted(set(a) & set(b))
+
+    @given(a=sorted_ints, b=sorted_ints)
+    def test_commutative(self, a, b):
+        assert intersect(a, b) == intersect(b, a)
+
+    def test_skewed_sizes(self):
+        small = [10, 999, 2500]
+        big = list(range(0, 3000, 5))
+        assert intersect(small, big) == sorted(set(small) & set(big))
