@@ -21,7 +21,7 @@ from statistics import median
 from .apriori import mine_apriori
 from .ingest import SyntheticSpec, generate_synthetic, parse_database, parse_into
 from .miner import MineResult, mine, remine
-from .model import Database, MiningError, SupportThreshold
+from .model import Database, MiningError, ParseError, SupportThreshold
 from .rules import Rule, RuleQuery, format_percent, generate_rules, parse_confidence
 from .tradelist import TradeList
 
@@ -92,11 +92,19 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
+def _read_text(path: Path) -> str:
+    """A transaction file's text; undecodable bytes are reported with its path."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
 def _load_database(cfg: RunConfig) -> Database:
     if (cfg.input_path is None) == (cfg.synthetic is None):
         raise UsageError("exactly one input source is required: --input or --synthetic")
     if cfg.input_path is not None:
-        return parse_database(cfg.input_path.read_text(encoding="utf-8"))
+        return parse_database(_read_text(cfg.input_path))
     assert cfg.synthetic is not None
     return generate_synthetic(cfg.synthetic)
 
@@ -180,7 +188,7 @@ def cmd_update(cfg: RunConfig) -> int:
         raise UsageError("--update is required")
     db = _load_database(cfg)
     tl = TradeList.build(db)
-    added = parse_into(db, cfg.update_path.read_text(encoding="utf-8"))
+    added = parse_into(db, _read_text(cfg.update_path))
     for tx in added:
         tl.add_transaction(tx)
     result = remine(tl, threshold)
@@ -370,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MiningError, OSError, UnicodeDecodeError) as exc:
+    except (MiningError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -108,21 +108,74 @@ class SyntheticSpec:
             )
 
 
+#: Pool draws each row gets: twice its length plus this many. Few rows of the
+#: usual shapes run out; those finish with an exact conditional draw.
+_POOL_SLACK = 4
+#: About this many pool draws are made at once. Small blocks bound the
+#: scratch arrays however many rows are asked for, and stay small enough to
+#: be reused: blocks of 2^16 draws left the heap about 1.5 MB larger after 20
+#: calls at 1,500 rows, blocks of 2^12 about 0.4 MB, at no cost in time.
+_POOL_CELLS = 1 << 12
+
+
 def generate_synthetic(spec: SyntheticSpec) -> Database:
     """Deterministic random database: a pure function of ``spec``.
 
     Transaction lengths are Poisson(mean_length) clamped to [1, n_items];
     items are drawn without replacement under a 1/rank popularity skew, so a
     few items are common and the long tail is rare, which is what gives the
-    miners something to prune.
+    miners something to prune. Each row lists its items in draw order.
+
+    The draws are made in bulk: all lengths at once, then, per block of rows,
+    one pool of weighted draws with replacement, of which each row takes the
+    first ``length`` distinct items in its share. Rejecting repeats is the
+    same distribution as successive weighted draws without replacement; a row
+    whose share runs out draws the rest from the items it lacks, their weights
+    renormalised, which is that distribution's exact conditional law.
     """
     rng = np.random.default_rng(spec.seed)
     weights = 1.0 / np.arange(1, spec.n_items + 1)
     weights /= weights.sum()
+    cdf = np.cumsum(weights)
+    cdf[-1] = 1.0  # so every uniform draw in [0, 1) lands on an item
+    lengths = np.clip(rng.poisson(spec.mean_length, spec.n_transactions), 1, spec.n_items)
+    names = [f"I{g + 1}" for g in range(spec.n_items)]
+    step = max(1, _POOL_CELLS // int(2 * spec.mean_length + _POOL_SLACK))
     db = Database()
-    for t in range(spec.n_transactions):
-        length = int(rng.poisson(spec.mean_length))
-        length = min(max(length, 1), spec.n_items)
-        picks = rng.choice(spec.n_items, size=length, replace=False, p=weights)
-        db.add_transaction(f"T{t + 1}", [f"I{g + 1}" for g in picks])
+    for lo in range(0, spec.n_transactions, step):
+        rows = _draw_rows(rng, weights, cdf, lengths[lo : lo + step])
+        for t, row in enumerate(rows, start=lo + 1):
+            db.add_transaction(f"T{t}", map(names.__getitem__, row))
     return db
+
+
+def _draw_rows(
+    rng: np.random.Generator, weights: np.ndarray, cdf: np.ndarray, lengths: np.ndarray
+) -> list[list[int]]:
+    """Distinct weighted item draws per row, ``lengths[r]`` for row ``r``, in draw order."""
+    share = 2 * lengths + _POOL_SLACK
+    ends = np.cumsum(share)
+    starts = ends - share
+    pool = np.searchsorted(cdf, rng.random(int(ends[-1])), side="right")
+    row = np.repeat(np.arange(lengths.size), share)
+    # A draw is new to its row if no earlier draw in the row's share is the
+    # same item: a stable sort puts each (row, item) group in draw order.
+    key = row * weights.size + pool
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    new = np.empty(key.size, dtype=bool)
+    new[order] = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    seen = np.cumsum(new)  # new draws up to here, over all rows
+    before = seen[starts] - 1  # ... before each row's share, whose first draw is new
+    keep = new & (seen - before[row] <= lengths[row])
+    held = np.minimum(seen[ends - 1] - before, lengths)
+    picks = pool[keep].tolist()
+    bounds = np.cumsum(held).tolist()
+    rows = [picks[a:b] for a, b in zip([0, *bounds], bounds)]
+    for r in np.flatnonzero(held < lengths).tolist():
+        p = weights.copy()
+        p[rows[r]] = 0.0
+        p /= p.sum()
+        rest = rng.choice(weights.size, size=int(lengths[r]) - len(rows[r]), replace=False, p=p)
+        rows[r] += rest.tolist()
+    return rows

@@ -67,9 +67,11 @@ class Interner:
     """Bijective label <-> dense-ordinal map; ordinals follow first appearance.
 
     ``intern``, ``in`` and ``ordinal`` trim surrounding whitespace, and
-    ``intern`` rejects a label that is empty after trimming. ``intern_all``
-    takes labels its caller has already trimmed and checked. Re-interning a
-    known label is a no-op that returns the ordinal assigned the first time.
+    ``intern`` rejects a new label that is empty after trimming or holds a
+    reserved character (see :meth:`Database.add_transaction`), so every
+    interned label can be written back. ``intern_trimmed`` takes a label its
+    caller has already trimmed and checked. Re-interning a known label is a
+    no-op that returns the ordinal assigned the first time.
     """
 
     __slots__ = ("_labels", "_by_label")
@@ -86,8 +88,10 @@ class Interner:
 
     def intern(self, label: str) -> int:
         label = label.strip()
-        if not label:
-            raise ParseError("empty label")
+        if label not in self._by_label:
+            if not label:
+                raise ParseError("empty label")
+            _check_reserved((label,))
         return self.intern_trimmed(label)
 
     def intern_trimmed(self, label: str) -> int:
@@ -97,13 +101,6 @@ class Interner:
         if ordinal == n:
             self._labels.append(label)
         return ordinal
-
-    def intern_all(self, labels: Sequence[str]) -> set[int]:
-        """The ordinals of already trimmed, checked labels; new ones intern in order."""
-        ordinals = set(map(self._by_label.get, labels))
-        if None in ordinals:
-            ordinals = set(map(self.intern_trimmed, labels))
-        return ordinals
 
     def ordinal(self, label: str) -> int:
         try:
@@ -144,11 +141,25 @@ class Transaction:
         return len(self.items)
 
 
-def _check_labels(tid_label: str, item_labels: list[str]) -> None:
-    """Reject labels the text format cannot write back; both are already trimmed.
+def _check_reserved(labels: Sequence[str]) -> None:
+    """Reject a label holding a character the text format reserves; none is empty.
 
-    Runs before the caller's duplicate-TID lookup, so a malformed row raises
-    ``ParseError`` even when its TID is also taken.
+    Reserved: the field separator and every line boundary ``str.splitlines``
+    breaks at (\\n, \\r, \\v, \\f, \\x1c-\\x1e, \\x85, \\u2028, \\u2029), since the
+    parser splits the document with it.
+    """
+    joined = "".join(labels)
+    if "," in joined or joined.splitlines()[0] != joined:
+        for label in labels:
+            if "," in label or label.splitlines()[0] != label:
+                raise ParseError(f"label {label!r} contains a reserved character")
+
+
+def _check_row(tid_label: str, item_labels: list[str]) -> None:
+    """Reject a row the text format cannot write back; its labels are already trimmed.
+
+    Only the TID is scanned for reserved characters here: an item label that
+    is already interned passed that scan when it was interned.
     """
     if not tid_label:
         raise ParseError("empty TID")
@@ -158,14 +169,8 @@ def _check_labels(tid_label: str, item_labels: list[str]) -> None:
         raise ParseError(f"transaction {tid_label!r} has no items")
     if "" in item_labels:
         raise ParseError(f"transaction {tid_label!r} has an empty item")
-    # Reserved: the field separator and every line boundary ``str.splitlines``
-    # breaks at (\n, \r, \v, \f, \x1c-\x1e, \x85, \u2028, \u2029), since the
-    # parser splits the document with it. The labels are non-empty here.
-    joined = tid_label + "".join(item_labels)
-    if "," in joined or joined.splitlines()[0] != joined:
-        for label in (tid_label, *item_labels):
-            if "," in label or label.splitlines()[0] != label:
-                raise ParseError(f"label {label!r} contains a reserved character")
+    if "," in tid_label or tid_label.splitlines()[0] != tid_label:
+        _check_reserved((tid_label,))
 
 
 class Database:
@@ -193,16 +198,25 @@ class Database:
         non-empty, no commas and no line boundary that ``str.splitlines``
         breaks at, and a TID may not start with the comment marker. Every
         label is checked before any is interned, so a rejected row leaves the
-        database as it was.
+        database as it was, and a malformed row raises ``ParseError`` even
+        when its TID is taken. Item labels are scanned for reserved
+        characters only when they are new.
         """
         tid_label = tid_label.strip()
         labels = [label.strip() for label in item_labels]
-        _check_labels(tid_label, labels)
+        _check_row(tid_label, labels)
+        known = self.items._by_label
+        ordinals = set(map(known.get, labels))
+        if None in ordinals:
+            _check_reserved(labels)  # the known ones pass; one joined scan is cheapest
         n_tids = len(self.tids)
         tid = self.tids.intern_trimmed(tid_label)
         if tid < n_tids:
             raise DuplicateTidError(f"duplicate TID {tid_label!r}")
-        tx = Transaction(tid, tuple(sorted(self.items.intern_all(labels))))
+        if None in ordinals:
+            # New labels intern in the row's order, so ordinals follow first appearance.
+            ordinals = set(map(self.items.intern_trimmed, labels))
+        tx = Transaction(tid, tuple(sorted(ordinals)))
         self.transactions.append(tx)
         return tx
 
@@ -226,7 +240,10 @@ class SupportThreshold:
     A fractional threshold resolves to ``max(1, ceil(fraction * n))`` so that
     "support >= threshold" matches the percentage reading exactly; ceiling is
     used, never rounding. A count must be integral (``operator.index``): a
-    float or a string is rejected rather than truncated.
+    float or a string is rejected rather than truncated. A fraction is stored
+    as an exact ``Fraction``: strings parse exactly ("0.3" is 3/10) and floats
+    are taken at their shortest decimal repr, so 0.2 means exactly 1/5 rather
+    than the nearest binary double.
     """
 
     count: int | None = None
@@ -246,8 +263,16 @@ class SupportThreshold:
             if count < 1:
                 raise ThresholdError(f"absolute support must be >= 1, got {count}")
             object.__setattr__(self, "count", count)
-        if self.fraction is not None and not 0 < self.fraction <= 1:
-            raise ThresholdError(f"fractional support must be in (0, 1], got {self.fraction}")
+        else:
+            value = self.fraction
+            try:
+                # str of a float (also a numpy one) is its shortest repr.
+                fraction = Fraction(str(value) if isinstance(value, float) else value)
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ThresholdError(f"bad fractional support {value!r}: {exc}") from None
+            if not 0 < fraction <= 1:
+                raise ThresholdError(f"fractional support must be in (0, 1], got {fraction}")
+            object.__setattr__(self, "fraction", fraction)
 
     @classmethod
     def absolute(cls, count: int) -> "SupportThreshold":
@@ -255,20 +280,8 @@ class SupportThreshold:
 
     @classmethod
     def fractional(cls, value: Fraction | str | float | int) -> "SupportThreshold":
-        """Fractional threshold from an exact rational.
-
-        Strings parse exactly ("0.3" is 3/10); floats are taken at their
-        shortest decimal repr, so 0.2 means exactly 1/5 rather than the
-        nearest binary double.
-        """
-        try:
-            if isinstance(value, float):
-                frac = Fraction(repr(value))
-            else:
-                frac = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ThresholdError(f"bad fractional support {value!r}: {exc}") from None
-        return cls(fraction=frac)
+        """Fractional threshold from an exact rational, a string, a float or an int."""
+        return cls(fraction=value)
 
     def resolve(self, n_transactions: int) -> int:
         """Absolute minimum-support count for a database of the given size."""

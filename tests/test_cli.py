@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -199,7 +200,7 @@ class TestMineCmd:
             ["mine", "--input", str(src), "--minsupp", "1", "--out", str(out)], capsys
         )
         assert code == 1
-        assert stderr.startswith("error: ") and "0xff" in stderr
+        assert stderr.startswith(f"error: {src}: ") and "0xff" in stderr
         assert not out.exists()
 
 
@@ -379,7 +380,23 @@ class TestUpdateCmd:
             capsys,
         )
         assert code == 1
-        assert stderr.startswith("error: ") and "0xff" in stderr
+        assert stderr.startswith(f"error: {bad}: ") and "0xff" in stderr
+        assert str(STORE9) not in stderr
+        assert not (tmp_path / "u").exists()
+
+    def test_update_base_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"T100,I1\nT200,I2\xff\n")
+        code, _, stderr = run(
+            [
+                "update", "--input", str(bad), "--update", str(UPDATE),
+                "--minsupp", "2", "--minconf", "0.7", "--out", str(tmp_path / "u"),
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert stderr.startswith(f"error: {bad}: ") and "0xff" in stderr
+        assert str(UPDATE) not in stderr
         assert not (tmp_path / "u").exists()
 
     def test_requires_update_path(self, capsys):
@@ -452,6 +469,19 @@ class TestBenchCmd:
         assert code == 0
         rows = {algo: counters[1:] for algo, counters in self.parse_csv(stdout).items()}
         assert rows == {"tradelist": (1, 675, 261), "apriori": (5, 195277, 261)}
+
+    def test_readme_example_is_what_the_command_prints(self, capsys):
+        # The README's bench example: every column but the timing is pinned.
+        readme = (DATA.parent.parent / "README.md").read_text(encoding="utf-8")
+        example = re.search(r"For\s+`basketmine (bench [^`]+)`:\s*```\n(.*?)```", readme, re.S)
+        assert example, "README shows no bench example"
+        code, stdout, _ = run(example.group(1).split(), capsys)
+        assert code == 0
+        shown = self.parse_csv(example.group(2))
+        printed = self.parse_csv(stdout)
+        assert {algo: row[1:] for algo, row in printed.items()} == {
+            algo: row[1:] for algo, row in shown.items()
+        }
 
     def test_repeat_must_be_positive(self, capsys):
         code, _, stderr = run(

@@ -1,7 +1,13 @@
+import itertools
+import math
+from collections import Counter
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from basketmine import ingest
 from basketmine.ingest import (
     SyntheticSpec,
     generate_synthetic,
@@ -200,6 +206,26 @@ class TestWrite:
             write_database(db)
 
 
+def rank_weights(n_items: int) -> list[float]:
+    """The generator's 1/rank item weights, normalised."""
+    total = sum(1 / r for r in range(1, n_items + 1))
+    return [1 / r / total for r in range(1, n_items + 1)]
+
+
+def draw_rows(n_items: int, length: int, n_rows: int, seed: int) -> list[list[int]]:
+    """The generator's item draws for rows of one length, as 0-based ranks in draw order."""
+    weights = np.array(rank_weights(n_items))
+    cdf = np.cumsum(weights)
+    cdf[-1] = 1.0
+    rng = np.random.default_rng(seed)
+    return ingest._draw_rows(rng, weights, cdf, np.full(n_rows, length))
+
+
+def assert_frequency(count: int, n: int, p: float) -> None:
+    """``count`` of ``n`` trials is within four standard deviations of ``n * p``."""
+    assert abs(count - n * p) <= 4 * math.sqrt(n * p * (1 - p)), (count, n * p)
+
+
 class TestSynthetic:
     def test_lengths_clamped(self):
         db = generate_synthetic(SyntheticSpec(5, 3, 3.0, seed=1))
@@ -226,6 +252,50 @@ class TestSynthetic:
         db = generate_synthetic(SyntheticSpec(1000, 50, 8.0, seed=42))
         mean = sum(len(tx) for tx in db.transactions) / db.n_transactions
         assert abs(mean - 8.0) <= 0.5
+
+    @pytest.mark.parametrize("slack", [ingest._POOL_SLACK, -3])
+    def test_ordered_pairs_follow_successive_sampling(self, monkeypatch, slack):
+        # Rows of two of three items. With slack -3 each row's pool share is a
+        # single draw, so every second item comes from the conditional draw.
+        monkeypatch.setattr(ingest, "_POOL_SLACK", slack)
+        rows = draw_rows(n_items=3, length=2, n_rows=10_000, seed=2024)
+        w = rank_weights(3)
+        counts = Counter(map(tuple, rows))
+        assert sum(counts.values()) == 10_000
+        for i, j in itertools.permutations(range(3), 2):
+            assert_frequency(counts[i, j], 10_000, w[i] * w[j] / (1 - w[i]))
+
+    @pytest.mark.parametrize("slack", [ingest._POOL_SLACK, -9])
+    def test_rows_that_run_out_finish_with_the_exact_conditional_draw(self, monkeypatch, slack):
+        # Five of six items: which item a row lacks, and which item it draws
+        # first, against exact successive sampling. Over a quarter of the rows
+        # run out of their share at the default slack; at -9, all of them do.
+        monkeypatch.setattr(ingest, "_POOL_SLACK", slack)
+        rows = draw_rows(n_items=6, length=5, n_rows=10_000, seed=7)
+        w = rank_weights(6)
+        assert all(len(set(row)) == 5 for row in rows)
+        missing = Counter((set(range(6)) - set(row)).pop() for row in rows)
+        first = Counter(row[0] for row in rows)
+        for item in range(6):
+            lacks = sum(
+                math.prod(w[g] / (1 - sum(w[h] for h in order[:k])) for k, g in enumerate(order))
+                for order in itertools.permutations(set(range(6)) - {item}, 5)
+            )
+            assert_frequency(missing[item], 10_000, lacks)
+            assert_frequency(first[item], 10_000, w[item])
+
+    def test_full_length_rows_hold_every_item(self):
+        db = generate_synthetic(SyntheticSpec(200, 8, 8.0, seed=5))
+        full = [tx for tx in db.transactions if len(tx) == 8]
+        assert full
+        assert all(tx.items == tuple(range(8)) for tx in full)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rows_as_long_as_the_item_set_finish(self, seed):
+        db = generate_synthetic(SyntheticSpec(20, 500, 500.0, seed))
+        assert db.n_transactions == 20
+        assert all(400 <= len(tx) <= 500 for tx in db.transactions)
+        assert all(tx.items == tuple(range(500)) for tx in db.transactions if len(tx) == 500)
 
     @pytest.mark.parametrize(
         "spec",

@@ -22,10 +22,13 @@ from basketmine.tradelist import TradeList
 
 from oracles import db_from_rows, db_rows
 
-labels = st.text(min_size=1).filter(lambda s: s.strip())
-
 #: The field separator and every line boundary ``str.splitlines`` breaks at.
 RESERVED = ",\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+#: Labels ``Interner.intern`` accepts: non-empty after trimming, nothing reserved.
+labels = st.text(st.characters(exclude_characters=RESERVED), min_size=1).filter(
+    lambda s: s.strip()
+)
 
 
 class TestInterner:
@@ -54,6 +57,15 @@ class TestInterner:
     def test_empty_label_rejected(self, bad):
         with pytest.raises(ParseError):
             Interner().intern(bad)
+
+    @pytest.mark.parametrize("sep", list(RESERVED))
+    def test_reserved_character_rejected(self, sep):
+        # The public intern is no back door for a label the text format cannot write.
+        interner = Interner()
+        interner.intern("I1")
+        with pytest.raises(ParseError, match="reserved"):
+            interner.intern(f"a{sep}b")
+        assert interner.labels() == ("I1",)
 
     def test_unknown_lookups(self):
         interner = Interner()
@@ -132,6 +144,26 @@ class TestDatabase:
             with pytest.raises(ParseError, match="reserved"):
                 db.add_transaction(tid, items)
             assert db == snapshot
+
+    def test_known_items_are_not_scanned_again(self, monkeypatch):
+        # Only a label that is not yet interned can bring in a reserved
+        # character, so a row of known items scans nothing but its TID.
+        import basketmine.model as model
+
+        db = Database()
+        db.add_transaction("T1", ["a", "b"])
+        scanned = []
+        check = model._check_reserved
+        monkeypatch.setattr(model, "_check_reserved", lambda ls: scanned.append(list(ls)) or check(ls))
+        db.add_transaction("T2", ["b", "a"])
+        assert scanned == []
+        db.add_transaction("T3", ["a", "c"])
+        assert scanned == [["a", "c"]]
+        with pytest.raises(ParseError, match="reserved"):
+            db.add_transaction("T4", ["a", "c,d"])
+        with pytest.raises(ParseError, match="reserved"):
+            db.add_transaction("T1", ["a", "c\nd"])  # a taken TID still reads as malformed
+        assert db.n_transactions == 3 and db.items.labels() == ("a", "b", "c")
 
     def test_vertical_tab_label_does_not_corrupt_a_round_trip(self):
         # Written out, "a\vb" would read back as two lines, the second a row with TID "b".
@@ -256,6 +288,20 @@ class TestSupportThreshold:
     def test_unparseable_fraction(self):
         with pytest.raises(ThresholdError):
             SupportThreshold.fractional("abc")
+
+    @pytest.mark.parametrize("value", [0.07, "0.07", "7/100", Fraction(7, 100), np.float64(0.07)])
+    def test_constructor_normalises_fraction_like_fractional(self, value):
+        # A float is read at its shortest repr by both routes: 0.07 * 100 is
+        # 7.000000000000001 in binary, which would resolve to 8.
+        direct = SupportThreshold(fraction=value)
+        assert direct == SupportThreshold.fractional(value)
+        assert type(direct.fraction) is Fraction and direct.fraction == Fraction(7, 100)
+        assert direct.resolve(100) == 7
+
+    @pytest.mark.parametrize("value", ["half", "1/0", object(), [1], float("nan"), "0", 1.5])
+    def test_constructor_rejects_bad_fraction_with_threshold_error(self, value):
+        with pytest.raises(ThresholdError):
+            SupportThreshold(fraction=value)
 
     def test_exactly_one_form(self):
         with pytest.raises(ThresholdError):
