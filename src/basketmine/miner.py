@@ -1,14 +1,18 @@
 """Depth-first frequent-itemset mining over bitmap tidsets.
 
-Frequent single items are ordered by ascending support; each prefix is then
-extended only with items later in that order. At the start of every mining
-call each frequent item's sorted tidset becomes a Python ``int`` bitmap (bit
-t is set when transaction t contains the item), so a candidate costs one
-``prefix & item`` and one ``bit_count()``; ``stats.intersections`` counts
-exactly those, one per candidate. Any extension below the threshold is
-pruned together with its whole subtree. No candidate lists are materialized
-and the raw transaction database is never touched: everything runs off the
-trade-list index, which is why ``stats.raw_passes`` is always 0 here.
+Frequent single items are picked and ordered by ascending support in one
+vectorized pass over the trade list's item supports; each prefix is then
+extended only with items later in that order. Each frequent item's tidset
+comes from the trade list as a Python ``int`` bitmap (bit t is set when
+transaction t contains the item), so a candidate costs one ``prefix & item``
+and one ``bit_count()``; ``stats.intersections`` counts exactly those, one
+per candidate. The trade list caches those bitmaps across calls and extends
+them by the TIDs appended since the last read, so a re-mine after a batch of
+appends converts only the batch (``stats.bitmap_tids``). Any extension below
+the threshold is pruned together with its whole subtree. No candidate lists
+are materialized and the raw transaction database is never touched:
+everything runs off the trade-list index, which is why ``stats.raw_passes``
+is always 0 here.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -24,13 +28,6 @@ from .model import Itemset, SupportThreshold, resolve_threshold
 from .tradelist import TradeList
 
 __all__ = ["FrequentItemset", "MineResult", "MineStats", "mine", "remine"]
-
-
-def _bitmap(tids: Sequence[int], n_transactions: int) -> int:
-    """The tidset as an int whose bit t is set iff t is in ``tids``."""
-    flags = np.zeros(n_transactions, dtype=np.uint8)
-    flags[np.fromiter(tids, dtype=np.intp, count=len(tids))] = 1
-    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 @dataclass(frozen=True)
@@ -49,11 +46,16 @@ class MineStats:
     ``intersections`` is the tidset miner's work counter and
     ``containment_checks`` the level-wise baseline's; exactly one of them is
     nonzero for a given result, and ``work_ops`` is whichever applies.
+    ``bitmap_tids`` counts the TIDs the tidset miner turned into bitmap bits
+    in this call: the entries appended to its frequent items since the trade
+    list last converted them (none when fewer than two items are frequent).
+    It is exact while no other call reads the same trade list's bitmaps.
     """
 
     raw_passes: int
     intersections: int = 0
     containment_checks: int = 0
+    bitmap_tids: int = 0
     elapsed_s: float = 0.0
 
     @property
@@ -103,13 +105,14 @@ def mine(tl: TradeList, threshold: SupportThreshold | int) -> MineResult:
     """
     start = time.perf_counter()
     minsupp = resolve_threshold(threshold, tl.n_transactions)
-    tidsets = tl.tidsets
-    supports = [len(tids) for tids in tidsets]
-    order = sorted(
-        (i for i, support in enumerate(supports) if support >= minsupp),
-        key=lambda i: (supports[i], i),
-    )
-    found: list[tuple[Itemset, int]] = [((i,), supports[i]) for i in order]
+    supports = tl.supports()
+    frequent = np.flatnonzero(supports >= minsupp)
+    # Stable, so equal supports keep ascending item order.
+    frequent = frequent[np.argsort(supports[frequent], kind="stable")]
+    order = frequent.tolist()
+    found: list[tuple[Itemset, int]] = [
+        ((i,), support) for i, support in zip(order, supports[frequent].tolist())
+    ]
     n_intersections = 0
 
     def extend(prefix: Itemset, prefix_bits: int, rest: list[tuple[int, int]]) -> None:
@@ -123,9 +126,9 @@ def mine(tl: TradeList, threshold: SupportThreshold | int) -> MineResult:
                 found.append((grown, support))
                 extend(grown, common, rest[q + 1 :])
 
+    tids_before = tl.bitmap_tids
     if len(order) > 1:
-        n = tl.n_transactions
-        entries = [(i, _bitmap(tidsets[i], n)) for i in order]
+        entries = [(i, tl.bitmap(i)) for i in order]
         for p, (item, bits) in enumerate(entries):
             extend((item,), bits, entries[p + 1 :])
 
@@ -139,6 +142,7 @@ def mine(tl: TradeList, threshold: SupportThreshold | int) -> MineResult:
     stats = MineStats(
         raw_passes=0,
         intersections=n_intersections,
+        bitmap_tids=tl.bitmap_tids - tids_before,
         elapsed_s=time.perf_counter() - start,
     )
     return MineResult(levels, stats)

@@ -123,7 +123,7 @@ class Interner:
         del self._labels[n:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """One purchase record: its TID ordinal plus a strictly increasing item tuple."""
 
@@ -139,6 +139,24 @@ class Transaction:
 
     def __len__(self) -> int:
         return len(self.items)
+
+
+_new_object = object.__new__
+_set_tid = Transaction.__dict__["tid"].__set__
+_set_items = Transaction.__dict__["items"].__set__
+
+
+def _sorted_transaction(tid: int, items: Itemset) -> Transaction:
+    """A :class:`Transaction` whose items the caller has just sorted and de-duplicated.
+
+    Skips the order check in ``__post_init__``: ``items`` must be a non-empty,
+    strictly increasing tuple. The slots' own setters get past the frozen
+    ``__setattr__``.
+    """
+    tx = _new_object(Transaction)
+    _set_tid(tx, tid)
+    _set_items(tx, items)
+    return tx
 
 
 def _check_reserved(labels: Sequence[str]) -> None:
@@ -216,7 +234,7 @@ class Database:
         if None in ordinals:
             # New labels intern in the row's order, so ordinals follow first appearance.
             ordinals = set(map(self.items.intern_trimmed, labels))
-        tx = Transaction(tid, tuple(sorted(ordinals)))
+        tx = _sorted_transaction(tid, tuple(sorted(ordinals)))
         self.transactions.append(tx)
         return tx
 

@@ -5,11 +5,22 @@ question from tidset lengths and from tidset intersections, which
 ``intersect`` here computes. It absorbs new transactions by appending
 ordinals, and keeps a counter of how many raw-database scans were ever
 performed (exactly one: the build).
+
+It also hands the miner each item's tidset as an ``int`` bitmap (bit t is
+set when transaction t contains the item). Bitmaps are cached on first read
+and kept warm across mining calls: tidsets only ever grow at the end, with
+TIDs above every earlier one, so a cached bitmap stays a prefix of the
+current tidset. A later read ORs in a bitmap of only the TIDs appended since,
+so re-mining after a batch costs the batch, not the whole history. Appending
+leaves the cache alone; reads fill it, and replace an item's entry whole, so
+shared reads stay safe.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .model import (
     Database,
@@ -30,6 +41,17 @@ def intersect(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return [x for x in a if x in members]
 
 
+def _bitmap(tids: Sequence[int], offset: int) -> int:
+    """An int whose bit ``t - offset`` is set iff t is in ``tids``.
+
+    ``tids`` is strictly increasing and non-empty, with no TID below
+    ``offset``; the cost follows the span of ``tids``, not their values.
+    """
+    flags = np.zeros(tids[-1] - offset + 1, dtype=np.uint8)
+    flags[np.fromiter(tids, dtype=np.intp, count=len(tids)) - offset] = 1
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
 class TradeList:
     """Per-item tidsets over a database's transaction ordinals.
 
@@ -37,15 +59,21 @@ class TradeList:
     resolution; transactions added incrementally must be interned through
     that same database. Reads may be shared freely; updates require exclusive
     access (no internal locking).
+
+    ``raw_passes`` and ``bitmap_tids`` are instrumentation: the raw-database
+    scans made, and the TIDs ever turned into cached bitmap bits.
     """
 
-    __slots__ = ("_db", "_tidsets", "n_transactions", "raw_passes")
+    __slots__ = ("_db", "_tidsets", "_bitmaps", "n_transactions", "raw_passes", "bitmap_tids")
 
     def __init__(self, db: Database) -> None:
         self._db = db
         self._tidsets: list[list[int]] = [[] for _ in range(len(db.items))]
+        # item -> (bitmap, how many of the item's TIDs it covers)
+        self._bitmaps: dict[int, tuple[int, int]] = {}
         self.n_transactions = 0
         self.raw_passes = 0
+        self.bitmap_tids = 0
 
     @classmethod
     def build(cls, db: Database) -> "TradeList":
@@ -62,10 +90,10 @@ class TradeList:
     def n_items(self) -> int:
         return len(self._tidsets)
 
-    @property
-    def tidsets(self) -> Sequence[Sequence[int]]:
-        """Every item's (read-only) tidset, indexed by item ordinal."""
-        return self._tidsets
+    def supports(self) -> np.ndarray:
+        """Every item's support (its tidset's length), indexed by item ordinal."""
+        tidsets = self._tidsets
+        return np.fromiter(map(len, tidsets), dtype=np.intp, count=len(tidsets))
 
     def add_transaction(self, tx: Transaction) -> None:
         """Append one new transaction without touching the raw database.
@@ -75,31 +103,50 @@ class TradeList:
         appending therefore keeps every tidset strictly increasing. Items not
         seen before extend the index.
         """
-        if tx.tid < self.n_transactions:
-            raise DuplicateTidError(f"transaction ordinal {tx.tid} is already indexed")
-        if tx.tid != self.n_transactions:
-            raise MiningError(
-                f"non-contiguous transaction ordinal {tx.tid}, expected {self.n_transactions}"
-            )
-        for item in tx.items:
-            while item >= len(self._tidsets):
-                self._tidsets.append([])
-            self._tidsets[item].append(tx.tid)
-        self.n_transactions += 1
+        tid, items, n = tx.tid, tx.items, self.n_transactions
+        if tid < n:
+            raise DuplicateTidError(f"transaction ordinal {tid} is already indexed")
+        if tid != n:
+            raise MiningError(f"non-contiguous transaction ordinal {tid}, expected {n}")
+        tidsets = self._tidsets
+        grow = items[-1] + 1 - len(tidsets)  # items are increasing: the last is the largest
+        if grow > 0:
+            tidsets.extend([] for _ in range(grow))
+        for item in items:
+            tidsets[item].append(tid)
+        self.n_transactions = n + 1
 
-    def tidset(self, item: int) -> Sequence[int]:
-        """The (read-only) tidset of a single item."""
+    def _tids(self, item: int) -> list[int]:
         if not 0 <= item < len(self._tidsets):
             raise UnknownItemError(f"unknown item ordinal {item}")
         return self._tidsets[item]
 
+    def tidset(self, item: int) -> tuple[int, ...]:
+        """A copy of a single item's tidset."""
+        return tuple(self._tids(item))
+
     def item_support(self, item: int) -> int:
         """Support of one item: the length of its tidset."""
-        return len(self.tidset(item))
+        return len(self._tids(item))
+
+    def bitmap(self, item: int) -> int:
+        """The item's tidset as an int whose bit t is set iff t is in it.
+
+        Extends the cached bitmap by the TIDs appended since the last read,
+        and counts them in ``bitmap_tids``.
+        """
+        tids = self._tids(item)
+        bits, covered = self._bitmaps.get(item, (0, 0))
+        if covered < len(tids):
+            first = tids[covered]
+            bits |= _bitmap(tids[covered:], first) << first
+            self._bitmaps[item] = (bits, len(tids))
+            self.bitmap_tids += len(tids) - covered
+        return bits
 
     def tidset_of(self, itemset: Iterable[int]) -> list[int]:
         """Tidset of an itemset via pairwise intersection, smallest sets first."""
-        member_sets = sorted((self.tidset(i) for i in set(itemset)), key=len)
+        member_sets = sorted((self._tids(i) for i in set(itemset)), key=len)
         if not member_sets:
             raise MiningError("empty itemset")
         acc = list(member_sets[0])
@@ -125,7 +172,8 @@ class TradeList:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TradeList):
             return NotImplemented
-        # Structural equality; instrumentation counters are not semantics.
+        # Structural equality; the bitmap cache and the instrumentation
+        # counters are not semantics.
         return (
             self.n_transactions == other.n_transactions
             and self._tidsets == other._tidsets

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from basketmine.ingest import parse_into
 from basketmine.miner import mine, remine
 from basketmine.model import Database, SupportThreshold, ThresholdError
 from basketmine.tradelist import TradeList
@@ -208,3 +209,69 @@ class TestBitmapKernel:
         grown, fresh = remine(tl, minsupp), mine(rebuilt, minsupp)
         assert grown.levels == fresh.levels
         assert grown.stats.intersections == fresh.stats.intersections
+
+
+def fresh_bitmap(tl, item):
+    return sum(1 << t for t in tl.tidset(item))
+
+
+class TestBitmapCache:
+    """Bitmaps stay cached across mines; a re-mine converts only appended TIDs."""
+
+    def test_fresh_index_converts_the_frequent_supports(self, store9_db):
+        result = mine(TradeList.build(store9_db), 2)
+        assert result.stats.bitmap_tids == sum(fi.support for fi in result.level(1)) == 23
+
+    def test_repeated_mine_converts_nothing(self, store9_db):
+        tl = TradeList.build(store9_db)
+        first, again = mine(tl, 2), mine(tl, 2)
+        assert again.stats.bitmap_tids == 0
+        assert again.levels == first.levels
+        assert again.stats.intersections == first.stats.intersections
+
+    def test_batch_converts_the_entries_appended_since_the_last_read(self, store9_db):
+        tl = TradeList.build(store9_db)
+        mine(tl, 2)  # reads all five items
+        for tx in parse_into(store9_db, "T910,I1,I4\nT920,I2,I4,I5\n"):
+            tl.add_transaction(tx)
+        # At 5 only I1, I2 and I3 are frequent: T910 and T920 add one entry
+        # each to I1 and I2, none to I3.
+        assert remine(tl, 5).stats.bitmap_tids == 2
+        # I1 and I2 are current; I4 gained two entries and I5 one.
+        assert remine(tl, 2).stats.bitmap_tids == 3
+        assert remine(tl, 2).stats.bitmap_tids == 0
+
+    def test_single_frequent_item_needs_no_bitmap(self, store9_db):
+        result = mine(TradeList.build(store9_db), 7)
+        assert result.n_itemsets == 1
+        assert result.stats.bitmap_tids == 0
+
+    @settings(deadline=None, max_examples=40)
+    @given(rows=wide_databases, data=st.data())
+    def test_interleaved_appends_and_mines_match_rebuild(self, rows, data):
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=5), label="cuts"))
+        bounds = [0, *cuts, len(rows)]
+        # The first slice is built; each later one is appended after a mine.
+        db = db_from_rows(rows[: bounds[1]])
+        tl = TradeList.build(db)
+        covered: dict[int, int] = {}  # what the cache should cover, per item
+        for lo, hi in zip(bounds[1:], bounds[2:] + [None]):
+            if tl.n_transactions:
+                minsupp = data.draw(st.integers(1, tl.n_transactions), label="minsupp")
+                grown, fresh = remine(tl, minsupp), mine(TradeList.build(db), minsupp)
+                assert grown.levels == fresh.levels
+                assert grown.stats.intersections == fresh.stats.intersections
+                frequent = [fi.itemset[0] for fi in grown.level(1)]
+                if len(frequent) > 1:
+                    expected = sum(tl.item_support(i) - covered.get(i, 0) for i in frequent)
+                    assert grown.stats.bitmap_tids == expected
+                    assert fresh.stats.bitmap_tids == sum(tl.item_support(i) for i in frequent)
+                    covered.update((i, tl.item_support(i)) for i in frequent)
+                else:
+                    assert grown.stats.bitmap_tids == fresh.stats.bitmap_tids == 0
+                if data.draw(st.booleans(), label="read every cached bitmap"):
+                    for item in covered:
+                        assert tl.bitmap(item) == fresh_bitmap(tl, item)
+                        covered[item] = tl.item_support(item)
+            for t, row in enumerate(rows[lo:hi], start=lo):
+                tl.add_transaction(db.add_transaction(f"T{t + 1}", [f"I{i}" for i in row]))

@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -110,6 +111,16 @@ class TestDatabase:
         db = Database()
         tx = db.add_transaction("T1", ["A", "A", "B"])
         assert tx.items == (0, 1)
+
+    def test_added_row_is_a_frozen_transaction(self):
+        db = Database()
+        db.add_transaction("T1", ["A", "B"])
+        tx = db.add_transaction("T2", ["B", "C", "A", "B"])
+        assert tx == Transaction(1, (0, 1, 2))
+        assert hash(tx) == hash(Transaction(1, (0, 1, 2)))
+        assert not hasattr(tx, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            tx.items = (0,)
 
     def test_duplicate_tid_names_the_tid(self):
         db = Database()

@@ -84,6 +84,13 @@ class TestAddTransaction:
         assert tl.n_items == 6
         assert tl.item_support(store9_db.items.ordinal("I9")) == 1
 
+    def test_index_grows_to_the_rows_largest_item(self, store9_db):
+        tl = TradeList.build(store9_db)
+        store9_db.items.intern("I6")  # an item no indexed row holds
+        tl.add_transaction(store9_db.add_transaction("T910", ["I7", "I2", "I8"]))
+        assert tl.n_items == 8
+        assert [tl.item_support(store9_db.items.ordinal(f"I{k}")) for k in (6, 7, 8)] == [0, 1, 1]
+
     def test_duplicate_ordinal_rejected(self, store9_db):
         tl = TradeList.build(store9_db)
         with pytest.raises(DuplicateTidError):
@@ -176,6 +183,91 @@ class TestQueries:
                     continue
                 bigger = tl.tidset_of(small + (extra,))
                 assert set(bigger) <= set(tl.tidset_of(small))
+
+
+class TestReadOnly:
+    def test_tidset_is_an_immutable_copy(self, store9_db):
+        tl = TradeList.build(store9_db)
+        i1 = store9_db.items.ordinal("I1")
+        tids = tl.tidset(i1)
+        assert isinstance(tids, tuple)
+        with pytest.raises(AttributeError):
+            tids.append(99)
+        tl.add_transaction(store9_db.add_transaction("T910", ["I1"]))
+        assert len(tids) == 6
+        assert tl.tidset(i1)[-1] == 9
+
+    def test_supports_is_a_fresh_array(self, store9_db):
+        tl = TradeList.build(store9_db)
+        supports = tl.supports()
+        assert supports.tolist() == [tl.item_support(i) for i in range(tl.n_items)]
+        supports[:] = 0
+        assert tl.supports().tolist() == [6, 7, 2, 2, 6]
+
+
+def fresh_bitmap(tl, item):
+    return sum(1 << t for t in tl.tidset(item))
+
+
+class TestBitmap:
+    def test_store9_bitmaps(self, store9_db):
+        tl = TradeList.build(store9_db)
+        i1 = store9_db.items.ordinal("I1")
+        assert tl.bitmap(i1) == 0b111011001  # T100, T400, T500, T700, T800, T900
+        assert [tl.bitmap(i) for i in range(tl.n_items)] == [
+            fresh_bitmap(tl, i) for i in range(tl.n_items)
+        ]
+
+    def test_read_extends_by_the_appended_tids(self, store9_db):
+        tl = TradeList.build(store9_db)
+        assert tl.bitmap_tids == 0
+        i1, i4 = (store9_db.items.ordinal(label) for label in ("I1", "I4"))
+        tl.bitmap(i1)
+        assert tl.bitmap_tids == 6
+        tl.bitmap(i1)
+        assert tl.bitmap_tids == 6
+        tl.add_transaction(store9_db.add_transaction("T910", ["I1", "I4"]))
+        assert tl.bitmap_tids == 6  # appending converts nothing
+        assert tl.bitmap(i1) == fresh_bitmap(tl, i1)
+        assert tl.bitmap_tids == 7
+        assert tl.bitmap(i4) == fresh_bitmap(tl, i4)
+        assert tl.bitmap_tids == 10
+
+    def test_item_with_no_tids(self, store9_db):
+        tl = TradeList(store9_db)  # sized to the database's items, nothing indexed
+        assert tl.bitmap(0) == 0
+        assert tl.bitmap_tids == 0
+
+    def test_unknown_item_raises(self, store9_db):
+        with pytest.raises(UnknownItemError):
+            TradeList.build(store9_db).bitmap(5)
+
+    def test_equality_ignores_the_cache(self, store9_db):
+        warm, cold = TradeList.build(store9_db), TradeList.build(store9_db)
+        for i in range(warm.n_items):
+            warm.bitmap(i)
+        assert warm == cold
+
+    @settings(deadline=None)
+    @given(rows=db_rows(max_tx=40, max_items=6), data=st.data())
+    def test_appends_between_reads_match_fresh_bitmaps(self, rows, data):
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=4), label="cuts"))
+        db = db_from_rows(rows[: cuts[0] if cuts else len(rows)])
+        tl = TradeList.build(db)
+        full = db_from_rows(rows)
+        covered = {}
+        for lo, hi in zip(cuts, cuts[1:] + [len(rows)]):
+            read = data.draw(st.sets(st.integers(0, tl.n_items)), label="read")
+            for item in sorted(read & set(range(tl.n_items))):
+                before = tl.bitmap_tids
+                assert tl.bitmap(item) == fresh_bitmap(tl, item)
+                assert tl.bitmap_tids - before == tl.item_support(item) - covered.get(item, 0)
+                covered[item] = tl.item_support(item)
+            for tx in full.transactions[lo:hi]:
+                tl.add_transaction(tx)
+        assert [tl.bitmap(i) for i in range(tl.n_items)] == [
+            fresh_bitmap(tl, i) for i in range(tl.n_items)
+        ]
 
 
 class TestInvariants:
