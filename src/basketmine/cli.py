@@ -2,10 +2,17 @@
 
 Subcommands build and print the trade-list index, mine frequent itemsets,
 generate association rules, apply incremental updates, and benchmark the
-tidset miner against the level-wise baseline. Log files contain only data
-and are byte-identical across runs for the same input and flags; the
-timestamp lives in the default file name only, and ``--out`` pins an exact
-path for golden tests.
+tidset miner against the level-wise Apriori baseline, which runs only under
+``bench``; every other command mines from the trade list. Log files contain
+only data and are byte-identical across runs for the same input and flags;
+the timestamp lives in the default file name only, and ``--out`` pins an
+exact path for golden tests.
+
+argparse owns every flag: a missing, conflicting or malformed one prints the
+usage line and exits 2 before any file is read or written. Values are
+converted by the library's own constructors, so a flag is rejected by the
+same check the library applies. Errors in the data or in file access print
+``error: ...`` and exit 1.
 """
 
 from __future__ import annotations
@@ -13,10 +20,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from statistics import median
+from typing import Callable, TypeVar
 
 from .apriori import mine_apriori
 from .ingest import SyntheticSpec, generate_synthetic, parse_database, parse_into
@@ -25,28 +31,11 @@ from .model import Database, MiningError, ParseError, SupportThreshold
 from .rules import Rule, RuleQuery, format_percent, generate_rules, parse_confidence
 from .tradelist import TradeList
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 BENCH_CSV_HEADER = "algo,elapsed_ms,raw_passes,work_ops,n_frequent"
 
-
-class UsageError(MiningError):
-    """Bad flag combination; reported on stderr with exit code 2."""
-
-
-@dataclass
-class RunConfig:
-    """Everything a subcommand needs, normalized from the parsed flags."""
-
-    input_path: Path | None = None
-    synthetic: SyntheticSpec | None = None
-    update_path: Path | None = None
-    threshold: SupportThreshold | None = None
-    min_confidence: Fraction | None = None
-    algo: str = "tradelist"
-    out: Path | None = None
-    outdir: Path = Path(".")
-    repeat: int = 1
+T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +70,10 @@ def _stamp() -> str:
     return time.strftime("%Y%m%d_%H%M%S")
 
 
-def _out_path(cfg: RunConfig, prefix: str) -> Path:
-    if cfg.out is not None:
-        return cfg.out
-    return cfg.outdir / f"{prefix}_{_stamp()}.log"
+def _out_path(args: argparse.Namespace, prefix: str) -> Path:
+    if args.out is not None:
+        return args.out
+    return args.outdir / f"{prefix}_{_stamp()}.log"
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -100,32 +89,14 @@ def _read_text(path: Path) -> str:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def _load_database(cfg: RunConfig) -> Database:
-    if (cfg.input_path is None) == (cfg.synthetic is None):
-        raise UsageError("exactly one input source is required: --input or --synthetic")
-    if cfg.input_path is not None:
-        return parse_database(_read_text(cfg.input_path))
-    assert cfg.synthetic is not None
-    return generate_synthetic(cfg.synthetic)
+def _load_database(args: argparse.Namespace) -> Database:
+    if args.synthetic is not None:
+        return generate_synthetic(args.synthetic)
+    return parse_database(_read_text(args.input))
 
 
-def _require_threshold(cfg: RunConfig) -> SupportThreshold:
-    if cfg.threshold is None:
-        raise UsageError("a support threshold is required: --minsupp N or --minsupp-frac F")
-    return cfg.threshold
-
-
-def _require_confidence(cfg: RunConfig) -> RuleQuery:
-    if cfg.min_confidence is None:
-        raise UsageError("--minconf is required")
-    return RuleQuery(cfg.min_confidence)
-
-
-def _run_miner(db: Database, algo: str, threshold: SupportThreshold) -> tuple[MineResult, int]:
-    """Mine with the named algorithm; returns (result, raw passes used)."""
-    if algo == "apriori":
-        result = mine_apriori(db, threshold)
-        return result, result.stats.raw_passes
+def _run_miner(db: Database, threshold: SupportThreshold) -> tuple[MineResult, int]:
+    """Build the trade list and mine it; returns (result, raw passes used)."""
     tl = TradeList.build(db)
     result = mine(tl, threshold)
     return result, tl.raw_passes + result.stats.raw_passes
@@ -145,66 +116,61 @@ def _print_mine_summary(result: MineResult, raw_passes: int) -> None:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_tradelist(cfg: RunConfig) -> int:
-    db = _load_database(cfg)
+def cmd_tradelist(args: argparse.Namespace) -> int:
+    db = _load_database(args)
     tl = TradeList.build(db)
-    path = _out_path(cfg, "tradelist")
+    path = _out_path(args, "tradelist")
     _write_text(path, tl.serialize_log())
     print(f"trade list: {tl.n_items} items, {tl.n_transactions} transactions")
     print(f"wrote {path}")
     return 0
 
 
-def cmd_mine(cfg: RunConfig) -> int:
-    db = _load_database(cfg)
-    result, raw_passes = _run_miner(db, cfg.algo, _require_threshold(cfg))
-    path = _out_path(cfg, "freq")
+def cmd_mine(args: argparse.Namespace) -> int:
+    db = _load_database(args)
+    result, raw_passes = _run_miner(db, args.threshold)
+    path = _out_path(args, "freq")
     _write_text(path, format_freq_log(result, db))
     _print_mine_summary(result, raw_passes)
     print(f"wrote {path}")
     return 0
 
 
-def cmd_rules(cfg: RunConfig) -> int:
-    query = _require_confidence(cfg)
-    db = _load_database(cfg)
-    result, raw_passes = _run_miner(db, cfg.algo, _require_threshold(cfg))
-    rules = generate_rules(result, query)
-    path = _out_path(cfg, "conf")
+def cmd_rules(args: argparse.Namespace) -> int:
+    db = _load_database(args)
+    result, raw_passes = _run_miner(db, args.threshold)
+    rules = generate_rules(result, args.query)
+    path = _out_path(args, "conf")
     _write_text(path, format_rules_log(rules, db))
     print(
-        f"rules: {len(rules)} at min confidence {format_percent(query.min_confidence)} "
+        f"rules: {len(rules)} at min confidence {format_percent(args.query.min_confidence)} "
         f"(from {result.n_itemsets} frequent itemsets, raw passes: {raw_passes})"
     )
     print(f"wrote {path}")
     return 0
 
 
-def cmd_update(cfg: RunConfig) -> int:
+def cmd_update(args: argparse.Namespace) -> int:
     """Build once, absorb the update file incrementally, re-mine, emit all logs."""
-    threshold = _require_threshold(cfg)
-    query = _require_confidence(cfg)
-    if cfg.update_path is None:
-        raise UsageError("--update is required")
-    db = _load_database(cfg)
+    db = _load_database(args)
     tl = TradeList.build(db)
-    added = parse_into(db, _read_text(cfg.update_path))
+    added = parse_into(db, _read_text(args.update))
     for tx in added:
         tl.add_transaction(tx)
-    result = remine(tl, threshold)
+    result = remine(tl, args.threshold)
     if tl.raw_passes != 1 or result.stats.raw_passes != 0:
         raise MiningError(
             "incremental update touched the raw database "
             f"(build={tl.raw_passes}, re-mine={result.stats.raw_passes})"
         )
-    rules = generate_rules(result, query)
+    rules = generate_rules(result, args.query)
 
-    if cfg.out is not None:
+    if args.out is not None:
         # --out names a directory here: the update emits all three logs.
-        outdir = cfg.out
+        outdir = args.out
         names = ("tradelist.log", "freq.log", "conf.log")
     else:
-        outdir = cfg.outdir
+        outdir = args.outdir
         stamp = _stamp()
         names = (f"tradelist_{stamp}.log", f"freq_{stamp}.log", f"conf_{stamp}.log")
     texts = (
@@ -221,28 +187,24 @@ def cmd_update(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_bench(cfg: RunConfig) -> int:
+def _timed(repeat: int, run: Callable[[], T]) -> tuple[T, float]:
+    """The last of ``repeat`` calls' results and their median time in ms."""
+    times = []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        out = run()
+        times.append(time.perf_counter() - t0)
+    return out, median(times) * 1000
+
+
+def cmd_bench(args: argparse.Namespace) -> int:
     """Time both algorithms, verify they agree, report one CSV row per algorithm."""
-    threshold = _require_threshold(cfg)
-    if cfg.repeat < 1:
-        raise UsageError("--repeat must be >= 1")
-    db = _load_database(cfg)
+    db = _load_database(args)
+    threshold = args.threshold
+    (tl_result, tl_raw), tl_ms = _timed(args.repeat, lambda: _run_miner(db, threshold))
+    ap_result, ap_ms = _timed(args.repeat, lambda: mine_apriori(db, threshold))
+    ap_raw = ap_result.stats.raw_passes
 
-    rows = []
-    results = {}
-    for algo in ("tradelist", "apriori"):
-        times = []
-        result = raw = None
-        for _ in range(cfg.repeat):
-            t0 = time.perf_counter()
-            result, raw = _run_miner(db, algo, threshold)
-            times.append(time.perf_counter() - t0)
-        assert result is not None and raw is not None
-        results[algo] = (result, raw)
-        rows.append((algo, median(times) * 1000, raw, result.stats.work_ops, result.n_itemsets))
-
-    tl_result, tl_raw = results["tradelist"]
-    ap_result, ap_raw = results["apriori"]
     if tl_result.pairs() != ap_result.pairs():
         only_tl = sorted(tl_result.pairs() - ap_result.pairs())
         only_ap = sorted(ap_result.pairs() - tl_result.pairs())
@@ -260,28 +222,50 @@ def cmd_bench(cfg: RunConfig) -> int:
         return 1
 
     print(BENCH_CSV_HEADER)
-    for algo, ms, raw, work, n_frequent in rows:
-        print(f"{algo},{ms:.3f},{raw},{work},{n_frequent}")
+    for algo, ms, raw, result in (
+        ("tradelist", tl_ms, tl_raw, tl_result),
+        ("apriori", ap_ms, ap_raw, ap_result),
+    ):
+        print(f"{algo},{ms:.3f},{raw},{result.stats.work_ops},{result.n_itemsets}")
     return 0
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _parse_synthetic(text: str) -> SyntheticSpec:
-    parts = [p.strip() for p in text.split(",")]
+def _flag(convert: Callable[[str], T]) -> Callable[[str], T]:
+    """An argparse ``type=`` that reports ``convert``'s rejection as a usage error."""
+
+    def parse(text: str) -> T:
+        try:
+            return convert(text)
+        except (MiningError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+def _synthetic(text: str) -> SyntheticSpec:
+    parts = text.split(",")
     if len(parts) != 4:
-        raise UsageError("--synthetic expects n_transactions,n_items,mean_length,seed")
-    try:
-        return SyntheticSpec(int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3]))
-    except ValueError as exc:
-        raise UsageError(f"bad --synthetic value: {exc}") from None
+        raise ValueError(f"expected N_TX,N_ITEMS,MEAN,SEED, got {text!r}")
+    n_tx, n_items, mean, seed = parts
+    return SyntheticSpec(int(n_tx), int(n_items), float(mean), int(seed))
 
 
-def _add_common_args(p: argparse.ArgumentParser, *, algo: bool = False) -> None:
-    p.add_argument("--input", type=Path, help="transaction file (TID,item,item,...)")
-    p.add_argument(
+def _repeat(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise ValueError(f"must be >= 1, got {count}")
+    return count
+
+
+def _add_common_args(p: argparse.ArgumentParser) -> None:
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", type=Path, help="transaction file (TID,item,item,...)")
+    source.add_argument(
         "--synthetic",
+        type=_flag(_synthetic),
         metavar="N_TX,N_ITEMS,MEAN,SEED",
         help="generate the input instead of reading a file",
     )
@@ -289,18 +273,34 @@ def _add_common_args(p: argparse.ArgumentParser, *, algo: bool = False) -> None:
     p.add_argument(
         "--outdir", type=Path, default=Path("."), help="directory for default-named logs"
     )
-    if algo:
-        p.add_argument(
-            "--algo",
-            choices=("tradelist", "apriori"),
-            default="tradelist",
-            help="mining algorithm (default: tradelist)",
-        )
 
 
 def _add_threshold_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--minsupp", type=int, help="absolute minimum support count")
-    p.add_argument("--minsupp-frac", metavar="FRAC", help="fractional minimum support, e.g. 0.05")
+    threshold = p.add_mutually_exclusive_group(required=True)
+    threshold.add_argument(
+        "--minsupp",
+        dest="threshold",
+        metavar="N",
+        type=_flag(lambda text: SupportThreshold.absolute(int(text))),
+        help="absolute minimum support count",
+    )
+    threshold.add_argument(
+        "--minsupp-frac",
+        dest="threshold",
+        metavar="FRAC",
+        type=_flag(SupportThreshold.fractional),
+        help="fractional minimum support, e.g. 0.05",
+    )
+
+
+def _add_minconf_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--minconf",
+        dest="query",
+        required=True,
+        type=_flag(lambda text: RuleQuery(parse_confidence(text))),
+        help="minimum confidence, e.g. 0.7 or 70%%",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,68 +316,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tradelist)
 
     p = sub.add_parser("mine", help="mine frequent itemsets")
-    _add_common_args(p, algo=True)
+    _add_common_args(p)
     _add_threshold_args(p)
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("rules", help="mine, then generate association rules")
-    _add_common_args(p, algo=True)
+    _add_common_args(p)
     _add_threshold_args(p)
-    p.add_argument("--minconf", help="minimum confidence, e.g. 0.7 or 70%%")
+    _add_minconf_arg(p)
     p.set_defaults(func=cmd_rules)
 
     p = sub.add_parser("update", help="add transactions incrementally and re-mine")
     _add_common_args(p)
     _add_threshold_args(p)
-    p.add_argument("--update", type=Path, help="file of additional transactions")
-    p.add_argument("--minconf", help="minimum confidence, e.g. 0.7 or 70%%")
+    p.add_argument("--update", type=Path, required=True, help="file of additional transactions")
+    _add_minconf_arg(p)
     p.set_defaults(func=cmd_update)
 
     p = sub.add_parser("bench", help="benchmark both algorithms on one input")
     _add_common_args(p)
     _add_threshold_args(p)
-    p.add_argument("--repeat", type=int, default=1, help="repetitions per algorithm")
+    p.add_argument("--repeat", type=_flag(_repeat), default=1, help="repetitions per algorithm")
     p.set_defaults(func=cmd_bench)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.minsupp is not None and getattr(args, "minsupp_frac", None) is not None:
-        raise UsageError("give only one of --minsupp / --minsupp-frac")
-    threshold = None
-    if args.minsupp is not None:
-        threshold = SupportThreshold.absolute(args.minsupp)
-    elif getattr(args, "minsupp_frac", None) is not None:
-        threshold = SupportThreshold.fractional(args.minsupp_frac)
-    return RunConfig(
-        input_path=args.input,
-        synthetic=_parse_synthetic(args.synthetic) if args.synthetic else None,
-        update_path=getattr(args, "update", None),
-        threshold=threshold,
-        min_confidence=(
-            parse_confidence(args.minconf)
-            if getattr(args, "minconf", None) is not None
-            else None
-        ),
-        algo=getattr(args, "algo", "tradelist"),
-        out=args.out,
-        outdir=args.outdir,
-        repeat=getattr(args, "repeat", 1),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not hasattr(args, "minsupp"):  # tradelist takes no threshold flags
-        args.minsupp = None
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return args.func(cfg)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return args.func(args)
     except (MiningError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

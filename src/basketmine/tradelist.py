@@ -1,13 +1,13 @@
 """The trade list: a vertical index mapping each item to its sorted tidset.
 
 Built from one pass over the horizontal database, it answers every support
-question from tidset lengths and from tidset intersections, which
-``intersect`` here computes. It absorbs new transactions by appending
-ordinals, and keeps a counter of how many raw-database scans were ever
-performed (exactly one: the build).
+question from tidset lengths and from intersections of its items' tidsets,
+which the miner computes by ANDing the bitmaps handed out here. It absorbs
+new transactions by appending ordinals, and keeps a counter of how many
+raw-database scans were ever performed (exactly one: the build).
 
-It also hands the miner each item's tidset as an ``int`` bitmap (bit t is
-set when transaction t contains the item). Bitmaps are cached on first read
+Each item's tidset is handed out as an ``int`` bitmap (bit t is set when
+transaction t contains the item). Bitmaps are cached on first read
 and kept warm across mining calls: tidsets only ever grow at the end, with
 TIDs above every earlier one, so a cached bitmap stays a prefix of the
 current tidset. A later read ORs in a bitmap of only the TIDs appended since,
@@ -18,7 +18,7 @@ shared reads stay safe.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,15 +30,7 @@ from .model import (
     UnknownItemError,
 )
 
-__all__ = ["TradeList", "intersect"]
-
-
-def intersect(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Intersection of two strictly increasing sequences, as a sorted list."""
-    if len(a) > len(b):
-        a, b = b, a
-    members = set(b)
-    return [x for x in a if x in members]
+__all__ = ["TradeList"]
 
 
 def _bitmap(tids: Sequence[int], offset: int) -> int:
@@ -143,18 +135,6 @@ class TradeList:
             self._bitmaps[item] = (bits, len(tids))
             self.bitmap_tids += len(tids) - covered
         return bits
-
-    def tidset_of(self, itemset: Iterable[int]) -> list[int]:
-        """Tidset of an itemset via pairwise intersection, smallest sets first."""
-        member_sets = sorted((self._tids(i) for i in set(itemset)), key=len)
-        if not member_sets:
-            raise MiningError("empty itemset")
-        acc = list(member_sets[0])
-        for tids in member_sets[1:]:
-            if not acc:
-                break
-            acc = intersect(acc, tids)
-        return acc
 
     def serialize_log(self) -> str:
         """One ``<item> = <tid>, <tid>, ...`` line per item, first-appearance order."""

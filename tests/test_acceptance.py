@@ -59,8 +59,10 @@ def test_criterion_1_index_reconstruction(store9_db):
 def test_criterion_2_worked_pair_intersection(store9_db):
     with criterion(2, "support of {I1, I2} is 4 by tidset intersection"):
         tl = TradeList.build(store9_db)
-        pair = [store9_db.items.ordinal("I1"), store9_db.items.ordinal("I2")]
-        assert len(tl.tidset_of(pair)) == 4
+        i1, i2 = store9_db.items.ordinal("I1"), store9_db.items.ordinal("I2")
+        common = tl.bitmap(i1) & tl.bitmap(i2)
+        assert common.bit_count() == 4
+        assert common == sum(1 << t for t in brute_tidset(store9_db, (i1, i2)))
 
 
 def test_criterion_3_fourteen_itemsets_after_append(store10_db):

@@ -1,9 +1,11 @@
-"""The public API is pinned: ``basketmine.__all__``, the names the README
-imports, and every name the benchmark harness under ``perfbench/`` imports or
-patches. The harness files are read with ``ast``, never imported, so a later
-trim that would break them fails here first.
+"""The public API is pinned: ``basketmine.__all__``, each CLI subcommand's
+flags, the names the README imports, and every name the benchmark harness
+under ``perfbench/`` imports or patches. The harness files are read with
+``ast``, never imported, so a later trim that would break them fails here
+first.
 """
 
+import argparse
 import ast
 import importlib
 import pkgutil
@@ -28,6 +30,17 @@ PUBLIC = {
     "parse_confidence", "parse_database", "parse_into", "remine", "write_database",
 }
 
+#: Each subcommand's option strings; a new flag is a visible edit here.
+COMMON_FLAGS = {"-h", "--help", "--input", "--synthetic", "--out", "--outdir"}
+THRESHOLD_FLAGS = {"--minsupp", "--minsupp-frac"}
+CLI_FLAGS = {
+    "tradelist": COMMON_FLAGS,
+    "mine": COMMON_FLAGS | THRESHOLD_FLAGS,
+    "rules": COMMON_FLAGS | THRESHOLD_FLAGS | {"--minconf"},
+    "update": COMMON_FLAGS | THRESHOLD_FLAGS | {"--update", "--minconf"},
+    "bench": COMMON_FLAGS | THRESHOLD_FLAGS | {"--repeat"},
+}
+
 #: The package's modules; ``__main__`` is left out, since importing it runs the CLI.
 SUBMODULES = {
     info.name for info in pkgutil.iter_modules(basketmine.__path__) if info.name != "__main__"
@@ -47,6 +60,18 @@ def basketmine_imports(source: str) -> list[tuple[str, str]]:
 def test_all_is_the_supported_api():
     assert len(basketmine.__all__) == len(PUBLIC)
     assert set(basketmine.__all__) == PUBLIC
+
+
+def option_strings(parser):
+    return {opt for action in parser._actions for opt in action.option_strings}
+
+
+def test_cli_surface_is_pinned():
+    assert cli.__all__ == ["main"]
+    parser = cli.build_parser()
+    assert option_strings(parser) == {"-h", "--help"}
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {name: option_strings(sub) for name, sub in commands.choices.items()} == CLI_FLAGS
 
 
 @pytest.mark.parametrize("module", ["basketmine", *sorted(f"basketmine.{m}" for m in SUBMODULES)])

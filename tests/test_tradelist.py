@@ -5,16 +5,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basketmine.ingest import parse_database, parse_into
+from basketmine.miner import mine
 from basketmine.model import Database, DuplicateTidError, MiningError, UnknownItemError
-from basketmine.tradelist import TradeList, intersect
+from basketmine.tradelist import TradeList
 
 from oracles import brute_tidset, db_from_rows, db_rows, read_tradelist_log
-
-sorted_ints = st.sets(st.integers(0, 200), max_size=40).map(sorted)
 
 
 def tid_labels(db, tidset):
     return [db.tids.label(t) for t in tidset]
+
+
+def as_bitmap(tids):
+    return sum(1 << t for t in tids)
+
+
+def fresh_bitmap(tl, item):
+    return as_bitmap(tl.tidset(item))
+
+
+def and_bitmap(tl, itemset):
+    """The itemset's tidset the way the miner computes it: its items' bitmaps ANDed."""
+    bits = (1 << tl.n_transactions) - 1  # every transaction holds the empty itemset
+    for item in itemset:
+        bits &= tl.bitmap(item)
+    return bits
 
 
 class TestBuild:
@@ -50,7 +65,7 @@ class TestBuild:
     def test_raw_pass_counter_is_one(self, store9_db):
         tl = TradeList.build(store9_db)
         assert tl.raw_passes == 1
-        tl.tidset_of([0, 1])
+        assert and_bitmap(tl, [0, 1]) == as_bitmap(brute_tidset(store9_db, [0, 1]))
         tl.item_support(0)
         assert tl.raw_passes == 1
 
@@ -127,40 +142,42 @@ class TestQueries:
         with pytest.raises(UnknownItemError):
             tl.item_support(99)
         with pytest.raises(UnknownItemError):
-            tl.tidset_of([0, 99])
+            and_bitmap(tl, [0, 99])
 
     def test_pair_intersection_count(self, store9_db):
         tl = TradeList.build(store9_db)
         pair = [store9_db.items.ordinal("I1"), store9_db.items.ordinal("I2")]
-        assert len(tl.tidset_of(pair)) == 4
+        assert and_bitmap(tl, pair).bit_count() == 4
 
     def test_singleton_is_items_own_tidset(self, store9_db):
         tl = TradeList.build(store9_db)
         i1 = store9_db.items.ordinal("I1")
-        assert tl.tidset_of([i1]) == list(tl.tidset(i1))
+        assert and_bitmap(tl, [i1]) == fresh_bitmap(tl, i1)
 
     def test_triple(self, store9_db):
         tl = TradeList.build(store9_db)
         triple = [store9_db.items.ordinal(x) for x in ("I1", "I2", "I3")]
-        assert tid_labels(store9_db, tl.tidset_of(triple)) == ["T800", "T900"]
+        expected = [store9_db.tids.ordinal(t) for t in ("T800", "T900")]
+        assert and_bitmap(tl, triple) == as_bitmap(expected)
 
-    def test_empty_itemset_rejected(self, store9_db):
-        with pytest.raises(MiningError):
-            TradeList.build(store9_db).tidset_of([])
+    def test_empty_itemset_is_every_transaction(self, store9_db):
+        tl = TradeList.build(store9_db)
+        assert and_bitmap(tl, []) == as_bitmap(brute_tidset(store9_db, [])) == 0b111111111
+        assert all(fi.itemset for fi in mine(tl, 1))  # never reported as frequent
 
     def test_order_insensitive(self, store9_db):
         tl = TradeList.build(store9_db)
         triple = [store9_db.items.ordinal(x) for x in ("I1", "I2", "I5")]
-        expected = tl.tidset_of(triple)
+        expected = and_bitmap(tl, triple)
         for perm in permutations(triple):
-            assert tl.tidset_of(perm) == expected
+            assert and_bitmap(tl, perm) == expected
 
     def test_matches_brute_force_up_to_size_4(self, store9_db):
         tl = TradeList.build(store9_db)
         universe = range(len(store9_db.items))
         for size in range(1, 5):
             for combo in combinations(universe, size):
-                assert tl.tidset_of(combo) == brute_tidset(store9_db, combo)
+                assert and_bitmap(tl, combo) == as_bitmap(brute_tidset(store9_db, combo))
 
     @settings(deadline=None)
     @given(rows=db_rows(max_tx=12, max_items=6))
@@ -169,7 +186,7 @@ class TestQueries:
         tl = TradeList.build(db)
         for size in range(1, min(4, len(db.items)) + 1):
             for combo in combinations(range(len(db.items)), size):
-                assert tl.tidset_of(combo) == brute_tidset(db, combo)
+                assert and_bitmap(tl, combo) == as_bitmap(brute_tidset(db, combo))
 
     @settings(deadline=None)
     @given(rows=db_rows(max_tx=10, max_items=6))
@@ -181,8 +198,8 @@ class TestQueries:
             for extra in range(n):
                 if extra in small:
                     continue
-                bigger = tl.tidset_of(small + (extra,))
-                assert set(bigger) <= set(tl.tidset_of(small))
+                bigger = and_bitmap(tl, small + (extra,))
+                assert bigger & ~and_bitmap(tl, small) == 0
 
 
 class TestReadOnly:
@@ -203,10 +220,6 @@ class TestReadOnly:
         assert supports.tolist() == [tl.item_support(i) for i in range(tl.n_items)]
         supports[:] = 0
         assert tl.supports().tolist() == [6, 7, 2, 2, 6]
-
-
-def fresh_bitmap(tl, item):
-    return sum(1 << t for t in tl.tidset(item))
 
 
 class TestBitmap:
@@ -336,32 +349,3 @@ def test_update_file_flow(store9_db, store10_db):
         tl.add_transaction(tx)
     assert tl == TradeList.build(store10_db)
     assert store9_db == store10_db
-
-
-class TestIntersect:
-    def test_known_pair(self):
-        assert intersect([0, 3, 7, 8], [0, 1, 2, 3, 5, 7, 8]) == [0, 3, 7, 8]
-
-    def test_idempotent(self):
-        xs = [1, 4, 9]
-        assert intersect(xs, xs) == xs
-
-    def test_empty_absorbs(self):
-        assert intersect([], [1, 2, 3]) == []
-        assert intersect([1, 2, 3], []) == []
-
-    def test_disjoint(self):
-        assert intersect([1, 3], [2, 4]) == []
-
-    @given(a=sorted_ints, b=sorted_ints)
-    def test_matches_set_intersection(self, a, b):
-        assert intersect(a, b) == sorted(set(a) & set(b))
-
-    @given(a=sorted_ints, b=sorted_ints)
-    def test_commutative(self, a, b):
-        assert intersect(a, b) == intersect(b, a)
-
-    def test_skewed_sizes(self):
-        small = [10, 999, 2500]
-        big = list(range(0, 3000, 5))
-        assert intersect(small, big) == sorted(set(small) & set(big))
