@@ -22,12 +22,12 @@ import sys
 import time
 from pathlib import Path
 from statistics import median
-from typing import Callable, TypeVar
+from typing import Callable, NoReturn, TypeVar
 
 from .apriori import mine_apriori
 from .ingest import SyntheticSpec, generate_synthetic, parse_database, parse_into
 from .miner import MineResult, mine, remine
-from .model import Database, MiningError, ParseError, SupportThreshold
+from .model import Database, Itemset, MiningError, ParseError, SupportThreshold, UnknownItemError
 from .rules import Rule, RuleQuery, format_percent, generate_rules, parse_confidence
 from .tradelist import TradeList
 
@@ -43,24 +43,48 @@ T = TypeVar("T")
 
 def format_freq_log(result: MineResult, db: Database) -> str:
     """Numbered rows ``<n>-<label>, <label>, ...`` by level, then canonical order."""
+    label = db.items.label_getter()
     lines = []
-    row = 0
-    for level in result.levels:
-        for fi in level:
-            row += 1
-            labels = ", ".join(db.items.label(i) for i in fi.itemset)
-            lines.append(f"{row}-{labels}")
-    return "".join(line + "\n" for line in lines)
+    try:
+        for row, fi in enumerate(result, 1):
+            itemset = fi.itemset
+            _check_least(itemset)
+            lines.append(f"{row}-{', '.join(map(label, itemset))}\n")
+    except IndexError:
+        _unknown(itemset)
+    return "".join(lines)
 
 
 def format_rules_log(rules: list[Rule], db: Database) -> str:
     """Rows ``X->Y = <pct>`` with comma-joined labels in canonical order."""
+    label = db.items.label_getter()
     lines = []
-    for rule in rules:
-        lhs = ",".join(db.items.label(i) for i in rule.antecedent)
-        rhs = ",".join(db.items.label(i) for i in rule.consequent)
-        lines.append(f"{lhs}->{rhs} = {format_percent(rule.confidence)}")
-    return "".join(line + "\n" for line in lines)
+    try:
+        for rule in rules:
+            itemset = rule.antecedent
+            _check_least(itemset)
+            lhs = ",".join(map(label, itemset))
+            itemset = rule.consequent
+            _check_least(itemset)
+            rhs = ",".join(map(label, itemset))
+            lines.append(f"{lhs}->{rhs} = {format_percent(rule.confidence)}\n")
+    except IndexError:
+        _unknown(itemset)
+    return "".join(lines)
+
+
+def _check_least(itemset: Itemset) -> None:
+    """Raise IndexError when the itemset's least ordinal, its first, is negative.
+
+    ``label_getter`` reports an ordinal past the end by IndexError, but counts
+    a negative one from the end.
+    """
+    if itemset[0] < 0:
+        raise IndexError(itemset[0])
+
+
+def _unknown(itemset: Itemset) -> NoReturn:
+    raise UnknownItemError(f"itemset {itemset} holds an ordinal the database lacks") from None
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +284,7 @@ def _repeat(text: str) -> int:
     return count
 
 
-def _add_common_args(p: argparse.ArgumentParser) -> None:
+def _add_source_args(p: argparse.ArgumentParser) -> None:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", type=Path, help="transaction file (TID,item,item,...)")
     source.add_argument(
@@ -269,6 +293,9 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
         metavar="N_TX,N_ITEMS,MEAN,SEED",
         help="generate the input instead of reading a file",
     )
+
+
+def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=Path, help="exact output path (default: timestamped name)")
     p.add_argument(
         "--outdir", type=Path, default=Path("."), help="directory for default-named logs"
@@ -312,29 +339,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tradelist", help="build the index and write its log")
-    _add_common_args(p)
+    _add_source_args(p)
+    _add_output_args(p)
     p.set_defaults(func=cmd_tradelist)
 
     p = sub.add_parser("mine", help="mine frequent itemsets")
-    _add_common_args(p)
+    _add_source_args(p)
+    _add_output_args(p)
     _add_threshold_args(p)
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("rules", help="mine, then generate association rules")
-    _add_common_args(p)
+    _add_source_args(p)
+    _add_output_args(p)
     _add_threshold_args(p)
     _add_minconf_arg(p)
     p.set_defaults(func=cmd_rules)
 
     p = sub.add_parser("update", help="add transactions incrementally and re-mine")
-    _add_common_args(p)
+    _add_source_args(p)
+    _add_output_args(p)
     _add_threshold_args(p)
     p.add_argument("--update", type=Path, required=True, help="file of additional transactions")
     _add_minconf_arg(p)
     p.set_defaults(func=cmd_update)
 
     p = sub.add_parser("bench", help="benchmark both algorithms on one input")
-    _add_common_args(p)
+    _add_source_args(p)
     _add_threshold_args(p)
     p.add_argument("--repeat", type=_flag(_repeat), default=1, help="repetitions per algorithm")
     p.set_defaults(func=cmd_bench)

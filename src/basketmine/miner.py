@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, starmap
 from typing import Iterator
 
 import numpy as np
@@ -30,12 +30,26 @@ from .tradelist import TradeList
 __all__ = ["FrequentItemset", "MineResult", "MineStats", "mine", "remine"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrequentItemset:
     """An itemset (canonical ascending-ordinal tuple) with its support count."""
 
     itemset: Itemset
     support: int
+
+
+# mine builds each FrequentItemset through its slots' own setters, which get
+# past the frozen __setattr__ (as model._sorted_transaction does).
+_new_object = object.__new__
+_set_itemset = FrequentItemset.__dict__["itemset"].__set__
+_set_support = FrequentItemset.__dict__["support"].__set__
+
+
+def _frequent_itemset(itemset: Itemset, support: int) -> FrequentItemset:
+    fi = _new_object(FrequentItemset)
+    _set_itemset(fi, itemset)
+    _set_support(fi, support)
+    return fi
 
 
 @dataclass(frozen=True)
@@ -132,12 +146,12 @@ def mine(tl: TradeList, threshold: SupportThreshold | int) -> MineResult:
         for p, (item, bits) in enumerate(entries):
             extend((item,), bits, entries[p + 1 :])
 
-    by_level: dict[int, list[FrequentItemset]] = {}
+    by_level: dict[int, list[tuple[Itemset, int]]] = {}
     for itemset, support in found:
-        canon = tuple(sorted(itemset))
-        by_level.setdefault(len(canon), []).append(FrequentItemset(canon, support))
+        by_level.setdefault(len(itemset), []).append((tuple(sorted(itemset)), support))
+    # Canonical itemsets are distinct, so sorting the pairs sorts by itemset.
     levels = [
-        sorted(by_level[k], key=lambda fi: fi.itemset) for k in sorted(by_level)
+        list(starmap(_frequent_itemset, sorted(by_level[k]))) for k in sorted(by_level)
     ]
     stats = MineStats(
         raw_passes=0,

@@ -12,7 +12,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "Database",
@@ -115,6 +115,15 @@ class Interner:
 
     def labels(self) -> tuple[str, ...]:
         return tuple(self._labels)
+
+    def label_getter(self) -> Callable[[int], str]:
+        """:meth:`label` without the check, for rendering many ordinals at once.
+
+        It indexes the live list, copying nothing. An ordinal past the end
+        raises ``IndexError``, but a negative one counts from the end: the
+        caller rejects those itself.
+        """
+        return self._labels.__getitem__
 
     def truncate(self, n: int) -> None:
         """Forget every label interned after the first ``n``."""

@@ -5,7 +5,19 @@ cross-multiplication, ``supp(Z) * den >= supp(X) * num`` for a minimum
 confidence ``num/den``, so a rule at confidence 2/3 is included by
 ``--minconf 2/3`` and excluded by ``--minconf 0.6667`` with no float
 round-off deciding the boundary. Emitted rules carry their confidence as a
-Fraction.
+Fraction; rules with equal supports share one.
+
+Rules are found by growing consequents, not by trying every antecedent
+(Agrawal & Srikant, VLDB 1994, section 3, ap-genrules). For each frequent Z
+the one-item consequents are tested first. Then the passing consequents of
+one size that share all but their last item are joined into the next size,
+a join with any failed subset one item smaller is dropped, and only the rest
+is tested. This is exact because confidence is anti-monotone in the
+consequent: moving an item of Z from X to the consequent shrinks X, which can
+only raise supp(X) and so lower supp(Z) / supp(X). A consequent with a
+failing subset therefore fails too, and every passing one is reached. The
+work follows the rules emitted plus the failures on their border, not the
+``2^|Z| - 2`` antecedents of each Z.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
     """antecedent => consequent, with the union's support and exact confidence."""
 
@@ -35,6 +47,15 @@ class Rule:
     consequent: Itemset
     support: int
     confidence: Fraction
+
+
+# generate_rules builds each Rule through its slots' own setters, which get
+# past the frozen __setattr__ (as model._sorted_transaction does).
+_new_object = object.__new__
+_set_antecedent = Rule.__dict__["antecedent"].__set__
+_set_consequent = Rule.__dict__["consequent"].__set__
+_set_support = Rule.__dict__["support"].__set__
+_set_confidence = Rule.__dict__["confidence"].__set__
 
 
 @dataclass(frozen=True)
@@ -80,23 +101,97 @@ def generate_rules(frequents: MineResult, query: RuleQuery) -> list[Rule]:
     supports = frequents.support_map()
     num = query.min_confidence.numerator
     den = query.min_confidence.denominator
-    rules: list[Rule] = []
+    found: list[tuple[Itemset, Itemset, int, int]] = []
+    add = found.append
     for level in frequents.levels[1:]:
         for fi in level:
             whole, supp_whole = fi.itemset, fi.support
-            for size in range(1, len(whole)):
-                for antecedent in combinations(whole, size):
-                    supp_x = supports.get(antecedent)
-                    if supp_x is None:
-                        raise MiningError(
-                            f"no support recorded for antecedent {antecedent}; "
-                            "mining result is not downward-closed"
-                        )
-                    if supp_whole * den >= supp_x * num:
-                        conf = confidence(supp_whole, supp_x)
-                        consequent = tuple(i for i in whole if i not in antecedent)
-                        rules.append(Rule(antecedent, consequent, supp_whole, conf))
+            # supp(X) * num <= supp(Z) * den  iff  supp(X) <= limit, in integers.
+            limit = supp_whole * den // num
+            # The one-item consequents. combinations drops whole[-1] first and
+            # whole[0] last, so the antecedents come in canonical order and
+            # antecedents[j] is the one of consequent (whole[last - j],).
+            last = len(whole) - 1
+            antecedents = list(combinations(whole, last))
+            supps = list(map(supports.get, antecedents))
+            if None in supps:
+                raise MiningError(
+                    f"no support recorded for antecedent {antecedents[supps.index(None)]}; "
+                    "mining result is not downward-closed"
+                )
+            passing = [j for j, supp_x in enumerate(supps) if supp_x <= limit]
+            if len(passing) > 1 and last > 1:
+                # Larger consequents mean smaller antecedents: they come first.
+                level_1 = [((whole[last - j],), antecedents[j]) for j in reversed(passing)]
+                found += _grown(level_1, supp_whole, supports, limit)
+            for j in passing:
+                add((antecedents[j], (whole[last - j],), supp_whole, supps[j]))
+
+    rules: list[Rule] = []
+    append = rules.append
+    confidences: dict[tuple[int, int], Fraction] = {}  # one Fraction per support pair
+    for antecedent, consequent, supp_whole, supp_x in found:
+        conf = confidences.get((supp_whole, supp_x))
+        if conf is None:
+            conf = confidences[supp_whole, supp_x] = confidence(supp_whole, supp_x)
+        rule = _new_object(Rule)
+        _set_antecedent(rule, antecedent)
+        _set_consequent(rule, consequent)
+        _set_support(rule, supp_whole)
+        _set_confidence(rule, conf)
+        append(rule)
     return rules
+
+
+def _grown(
+    level: list[tuple[Itemset, Itemset]],
+    supp_whole: int,
+    supports: dict[Itemset, int],
+    limit: int,
+) -> list[tuple[Itemset, Itemset, int, int]]:
+    """The confident rules of one Z whose consequents have two items or more.
+
+    ``level`` holds Z's passing one-item consequents, with their antecedents,
+    in canonical order. Each larger size joins the passing consequents one
+    item smaller that share all but their last item, keeps a join only when
+    every one of its subsets one item smaller passed too, and tests what is
+    left. Rules come out by consequent size descending, each size in
+    canonical antecedent order: the order :func:`generate_rules` emits.
+    """
+    by_size = []
+    size = 1
+    # Stop once the antecedents are single items: a join would leave none.
+    while len(level) > 1 and len(level[0][1]) > 1:
+        passed = {consequent for consequent, _ in level}
+        grown = []
+        rules = []
+        for p, (head, head_antecedent) in enumerate(level):
+            prefix = head[:-1]
+            for other, _ in level[p + 1 :]:
+                if other[:-1] != prefix:
+                    break  # canonical order keeps equal prefixes contiguous
+                item = other[-1]
+                consequent = head + (item,)
+                # Dropping either of the last two items gives head or other.
+                if not all(
+                    consequent[:i] + consequent[i + 1 :] in passed for i in range(size - 1)
+                ):
+                    continue
+                j = head_antecedent.index(item)
+                antecedent = head_antecedent[:j] + head_antecedent[j + 1 :]
+                # Recorded: head_antecedent is an itemset of a lower level,
+                # so an earlier Z, whose one-item tests looked this one up.
+                supp_x = supports[antecedent]
+                if supp_x <= limit:
+                    grown.append((consequent, antecedent))
+                    rules.append((antecedent, consequent, supp_whole, supp_x))
+        # Same-size complements come in reverse order: the consequents'
+        # canonical order is the antecedents' reversed.
+        rules.reverse()
+        by_size.append(rules)
+        level = grown
+        size += 1
+    return [rule for rules in reversed(by_size) for rule in rules]
 
 
 def format_percent(value: Fraction | int) -> str:

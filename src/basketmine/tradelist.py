@@ -13,11 +13,14 @@ TIDs above every earlier one, so a cached bitmap stays a prefix of the
 current tidset. A later read ORs in a bitmap of only the TIDs appended since,
 so re-mining after a batch costs the batch, not the whole history. Appending
 leaves the cache alone; reads fill it, and replace an item's entry whole, so
-shared reads stay safe.
+shared reads stay safe. The array of every item's support is kept the same
+way: appending only queues the transaction's items, and the next read counts
+them in.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +28,7 @@ import numpy as np
 from .model import (
     Database,
     DuplicateTidError,
+    Itemset,
     MiningError,
     Transaction,
     UnknownItemError,
@@ -56,13 +60,26 @@ class TradeList:
     scans made, and the TIDs ever turned into cached bitmap bits.
     """
 
-    __slots__ = ("_db", "_tidsets", "_bitmaps", "n_transactions", "raw_passes", "bitmap_tids")
+    __slots__ = (
+        "_db",
+        "_tidsets",
+        "_bitmaps",
+        "_supports",
+        "_pending",
+        "n_transactions",
+        "raw_passes",
+        "bitmap_tids",
+    )
 
     def __init__(self, db: Database) -> None:
         self._db = db
         self._tidsets: list[list[int]] = [[] for _ in range(len(db.items))]
         # item -> (bitmap, how many of the item's TIDs it covers)
         self._bitmaps: dict[int, tuple[int, int]] = {}
+        # Every item's support as of the last supports() read (None: never
+        # read), and the item tuples of the transactions appended since.
+        self._supports: np.ndarray | None = None
+        self._pending: list[Itemset] = []
         self.n_transactions = 0
         self.raw_passes = 0
         self.bitmap_tids = 0
@@ -83,9 +100,28 @@ class TradeList:
         return len(self._tidsets)
 
     def supports(self) -> np.ndarray:
-        """Every item's support (its tidset's length), indexed by item ordinal."""
-        tidsets = self._tidsets
-        return np.fromiter(map(len, tidsets), dtype=np.intp, count=len(tidsets))
+        """Every item's support (its tidset's length), indexed by item ordinal.
+
+        A fresh array each call. The one kept since the last call absorbs only
+        the entries appended since, unless they come to half the items or
+        more: then reading every tidset's length again is as cheap, since
+        each entry costs about as much to count in as an item's length does
+        to read, and counting in pays a fixed cost of its own.
+        """
+        tidsets, pending, kept = self._tidsets, self._pending, self._supports
+        n_items = len(tidsets)
+        n_pending = sum(map(len, pending))
+        if kept is None or 2 * n_pending >= n_items:
+            supports = np.fromiter(map(len, tidsets), dtype=np.intp, count=n_items)
+        elif n_pending:
+            appended = np.fromiter(chain.from_iterable(pending), dtype=np.intp, count=n_pending)
+            supports = np.bincount(appended, minlength=n_items)
+            supports[: len(kept)] += kept
+        else:
+            supports = kept
+        pending.clear()
+        self._supports = supports
+        return supports.copy()
 
     def add_transaction(self, tx: Transaction) -> None:
         """Append one new transaction without touching the raw database.
@@ -106,6 +142,7 @@ class TradeList:
             tidsets.extend([] for _ in range(grow))
         for item in items:
             tidsets[item].append(tid)
+        self._pending.append(items)
         self.n_transactions = n + 1
 
     def _tids(self, item: int) -> list[int]:

@@ -1,14 +1,17 @@
 """Independent brute-force oracles and random-database builders.
 
-Everything here counts by scanning transactions directly; none of it shares
-code with the miners it is used to check.
+The support oracles count by scanning transactions directly, and
+``brute_rules`` tries every antecedent of every itemset; none of it shares
+code with the miners and the rule generator it is used to check.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import strategies as st
 
 from basketmine.model import Database
+from basketmine.rules import Rule
 
 
 def db_from_rows(rows):
@@ -43,6 +46,26 @@ def brute_frequents(db, minsupp):
         for itemset, support in brute_support_map(db).items()
         if support >= minsupp
     }
+
+
+def brute_rules(frequents, min_confidence):
+    """Every rule over a mining result, by testing all ``2^|Z| - 2`` antecedents of each Z.
+
+    The order is the one ``generate_rules`` promises: by Z, then antecedent
+    size ascending, then canonical antecedent order.
+    """
+    supports = frequents.support_map()
+    rules = []
+    for level in frequents.levels[1:]:
+        for fi in level:
+            whole = fi.itemset
+            for size in range(1, len(whole)):
+                for antecedent in combinations(whole, size):
+                    conf = Fraction(fi.support, supports[antecedent])
+                    if conf >= min_confidence:
+                        consequent = tuple(i for i in whole if i not in antecedent)
+                        rules.append(Rule(antecedent, consequent, fi.support, conf))
+    return rules
 
 
 def read_tradelist_log(text):

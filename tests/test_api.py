@@ -31,14 +31,16 @@ PUBLIC = {
 }
 
 #: Each subcommand's option strings; a new flag is a visible edit here.
-COMMON_FLAGS = {"-h", "--help", "--input", "--synthetic", "--out", "--outdir"}
+SOURCE_FLAGS = {"-h", "--help", "--input", "--synthetic"}
+COMMON_FLAGS = SOURCE_FLAGS | {"--out", "--outdir"}
 THRESHOLD_FLAGS = {"--minsupp", "--minsupp-frac"}
 CLI_FLAGS = {
     "tradelist": COMMON_FLAGS,
     "mine": COMMON_FLAGS | THRESHOLD_FLAGS,
     "rules": COMMON_FLAGS | THRESHOLD_FLAGS | {"--minconf"},
     "update": COMMON_FLAGS | THRESHOLD_FLAGS | {"--update", "--minconf"},
-    "bench": COMMON_FLAGS | THRESHOLD_FLAGS | {"--repeat"},
+    # bench writes no file: it prints its CSV.
+    "bench": SOURCE_FLAGS | THRESHOLD_FLAGS | {"--repeat"},
 }
 
 #: The package's modules; ``__main__`` is left out, since importing it runs the CLI.

@@ -1,9 +1,13 @@
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
-from basketmine.cli import BENCH_CSV_HEADER, main
+from basketmine.cli import BENCH_CSV_HEADER, format_freq_log, format_rules_log, main
+from basketmine.miner import FrequentItemset, MineResult, MineStats
+from basketmine.model import UnknownItemError
+from basketmine.rules import Rule
 
 from conftest import DATA, GOLDEN
 
@@ -477,6 +481,16 @@ class TestBenchCmd:
         )
         assert "argument --repeat: must be >= 1" in stderr
 
+    @pytest.mark.parametrize("flag", ["--out", "--outdir"])
+    def test_writes_no_file_so_takes_no_output_flag(self, tmp_path, capsys, flag):
+        target = tmp_path / "x"
+        stderr = usage_error(
+            ["bench", "--input", str(STORE9), "--minsupp", "2", flag, str(target)],
+            capsys,
+        )
+        assert f"unrecognized arguments: {flag}" in stderr
+        assert not target.exists()
+
 
 @pytest.mark.parametrize(
     "argv,flag",
@@ -496,6 +510,26 @@ def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, argv, flag):
     stderr = usage_error(argv + ["--out", str(out)], capsys)
     assert f"argument {flag}: " in stderr
     assert not out.exists()
+
+
+class TestLogRendering:
+    """The logs name items by label; an ordinal the database lacks is an error."""
+
+    @pytest.mark.parametrize("itemset", [(5,), (0, 5), (-1,), (-1, 0)])
+    def test_freq_log_rejects_an_unknown_ordinal(self, store9_db, itemset):
+        assert len(store9_db.items) == 5
+        result = MineResult([[FrequentItemset(itemset, 2)]], MineStats(0))
+        with pytest.raises(UnknownItemError):
+            format_freq_log(result, store9_db)
+
+    @pytest.mark.parametrize(
+        "antecedent,consequent",
+        [((5,), (0,)), ((0,), (1, 5)), ((-1,), (0,)), ((0,), (-1, 1))],
+    )
+    def test_rules_log_rejects_an_unknown_ordinal(self, store9_db, antecedent, consequent):
+        rule = Rule(antecedent, consequent, 2, Fraction(1, 2))
+        with pytest.raises(UnknownItemError):
+            format_rules_log([rule], store9_db)
 
 
 def test_logs_are_reproducible(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from basketmine.ingest import SyntheticSpec, generate_synthetic
 from basketmine.miner import FrequentItemset, MineResult, MineStats, mine
 from basketmine.model import MiningError, ThresholdError
 from basketmine.rules import (
@@ -18,7 +19,7 @@ from basketmine.rules import (
 )
 from basketmine.tradelist import TradeList
 
-from oracles import brute_tidset, db_from_rows, db_rows
+from oracles import brute_rules, brute_tidset, db_from_rows, db_rows
 
 
 class TestConfidence:
@@ -132,6 +133,47 @@ class TestGenerateRules:
         )
         with pytest.raises(MiningError, match="downward-closed"):
             generate_rules(broken, RuleQuery(Fraction(1, 2)))
+
+    def test_missing_two_item_antecedent_is_an_internal_error(self):
+        broken = MineResult(
+            levels=[
+                [FrequentItemset((0,), 3), FrequentItemset((1,), 3), FrequentItemset((2,), 3)],
+                [FrequentItemset((0, 2), 2), FrequentItemset((1, 2), 2)],  # (0, 1) missing
+                [FrequentItemset((0, 1, 2), 2)],
+            ],
+            stats=MineStats(raw_passes=0),
+        )
+        with pytest.raises(MiningError, match="downward-closed"):
+            generate_rules(broken, RuleQuery(Fraction(1, 2)))
+
+    @settings(deadline=None, max_examples=150)
+    @given(rows=db_rows(max_tx=12, max_items=8), minsupp=st.integers(1, 3), data=st.data())
+    def test_same_rules_in_the_same_order_as_every_antecedent_tried(self, rows, minsupp, data):
+        result = mine(TradeList.build(db_from_rows(rows)), minsupp)
+        # Confidences some rule has exactly: supp(Z) * den == supp(X) * num.
+        supports = result.support_map()
+        exact = sorted(
+            {
+                Fraction(fi.support, supports[antecedent])
+                for fi in result if len(fi.itemset) > 1
+                for size in range(1, len(fi.itemset))
+                for antecedent in combinations(fi.itemset, size)
+            }
+        )
+        choices = [st.just(Fraction(1)), st.just(Fraction(1, 10**9)), st.fractions(0, 1).filter(bool)]
+        if exact:
+            choices.append(st.sampled_from(exact))
+        minconf = data.draw(st.one_of(choices), label="minconf")
+        assert generate_rules(result, RuleQuery(minconf)) == brute_rules(result, minconf)
+
+    @pytest.mark.parametrize("minconf", ["0.3", "0.5", "0.7", "0.9", "1"])
+    def test_deep_itemsets_match_every_antecedent_tried(self, minconf):
+        # Itemsets up to size 7, so consequents grow over several sizes.
+        db = generate_synthetic(SyntheticSpec(200, 20, 6, 7))
+        result = mine(TradeList.build(db), 6)
+        assert len(result.levels) == 7
+        expected = brute_rules(result, Fraction(minconf))
+        assert generate_rules(result, RuleQuery(Fraction(minconf))) == expected
 
     @settings(deadline=None, max_examples=50)
     @given(rows=db_rows(max_tx=10, max_items=6), minsupp=st.integers(1, 3))

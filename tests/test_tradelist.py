@@ -222,6 +222,44 @@ class TestReadOnly:
         assert tl.supports().tolist() == [6, 7, 2, 2, 6]
 
 
+class TestSupports:
+    def test_a_read_counts_in_what_was_appended(self):
+        db = db_from_rows([list(range(10))])
+        tl = TradeList.build(db)
+        assert tl.supports().tolist() == [1] * 10
+        # Two entries, one of them a new item: fewer than half the items.
+        tl.add_transaction(db.add_transaction("T2", ["I3", "I10"]))
+        assert tl.supports().tolist() == [1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1]
+        assert tl.supports().tolist() == [1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1]
+        # Eleven entries, more than half: every length is read again.
+        tl.add_transaction(db.add_transaction("T3", [f"I{i}" for i in range(11)]))
+        assert tl.supports().tolist() == [2, 2, 2, 3, 2, 2, 2, 2, 2, 2, 2]
+
+    def test_equality_ignores_the_kept_supports(self, store9_db):
+        read, unread = TradeList.build(store9_db), TradeList.build(store9_db)
+        read.supports()
+        assert read == unread
+
+    @settings(deadline=None)
+    @given(rows=db_rows(max_tx=40, max_items=8), data=st.data())
+    def test_appends_between_reads_match_fresh_lengths(self, rows, data):
+        # Batches of any size: some are counted in, some come to half the
+        # items or more and every length is read again.
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=6), label="cuts"))
+        db = db_from_rows(rows[: cuts[0] if cuts else len(rows)])
+        tl = TradeList.build(db)
+        full = db_from_rows(rows)
+        for lo, hi in zip(cuts, cuts[1:] + [len(rows)]):
+            if data.draw(st.booleans(), label="read"):
+                supports = tl.supports()
+                assert supports.tolist() == [len(tl.tidset(i)) for i in range(tl.n_items)]
+                supports[:] = -1  # the next read must not see this
+            for tx in full.transactions[lo:hi]:
+                tl.add_transaction(tx)
+        assert tl.supports().tolist() == [len(tl.tidset(i)) for i in range(tl.n_items)]
+        assert tl == TradeList.build(full)
+
+
 class TestBitmap:
     def test_store9_bitmaps(self, store9_db):
         tl = TradeList.build(store9_db)
