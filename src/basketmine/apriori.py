@@ -43,13 +43,15 @@ _BLOCK_CELLS = 1 << 18
 
 
 def generate_candidates(frequents: Sequence[Itemset]) -> list[Itemset]:
-    """Join k-itemsets sharing a (k-1)-prefix, then prune.
+    """Join k-itemsets sharing a (k-1)-prefix, then prune (apriori-gen).
 
-    A joined candidate survives only if every k-subset is itself frequent;
-    anything pruned here could not possibly reach the threshold, so the
-    counting pass never sees it. The two subsets that dropping either of the
-    last two items gives are the joined pair itself, so only the others are
-    looked up.
+    Canonical input in, canonical candidates out: ``frequents`` must be in
+    canonical order, which keeps equal prefixes contiguous, and the joins
+    then come out in canonical order with no sort. A joined candidate
+    survives only if every k-subset is itself frequent; anything pruned here
+    could not possibly reach the threshold, so the counting pass never sees
+    it. The two subsets that dropping either of the last two items gives are
+    the joined pair itself, so only the others are looked up.
     """
     if not frequents:
         return []
@@ -63,7 +65,7 @@ def generate_candidates(frequents: Sequence[Itemset]) -> list[Itemset]:
             candidate = a + (b[-1],)
             if all(candidate[:i] + candidate[i + 1 :] in known for i in range(k - 1)):
                 out.append(candidate)
-    return sorted(out)
+    return out
 
 
 def count_support(db: Database, itemsets: Sequence[Itemset]) -> list[int]:

@@ -296,8 +296,9 @@ def _add_source_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_output_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", type=Path, help="exact output path (default: timestamped name)")
-    p.add_argument(
+    output = p.add_mutually_exclusive_group()
+    output.add_argument("--out", type=Path, help="exact output path (default: timestamped name)")
+    output.add_argument(
         "--outdir", type=Path, default=Path("."), help="directory for default-named logs"
     )
 

@@ -8,6 +8,7 @@ an error.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,7 +89,12 @@ def write_database(db: Database) -> str:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Parameters for the synthetic market-basket generator."""
+    """Parameters for the synthetic market-basket generator.
+
+    The counts and the seed must be integral (``operator.index``) and are
+    stored as ints; the seed must be non-negative, as numpy's generator
+    requires.
+    """
 
     n_transactions: int
     n_items: int
@@ -96,6 +102,14 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self) -> None:
+        for name in ("n_transactions", "n_items", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise MiningError(f"{name} must be an integer, got {value!r}") from None
+        if self.seed < 0:
+            raise MiningError(f"seed must be >= 0, got {self.seed}")
         if self.n_transactions < 1:
             raise MiningError(f"n_transactions must be >= 1, got {self.n_transactions}")
         if self.n_items < 1:

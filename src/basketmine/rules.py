@@ -9,15 +9,16 @@ Fraction; rules with equal supports share one.
 
 Rules are found by growing consequents, not by trying every antecedent
 (Agrawal & Srikant, VLDB 1994, section 3, ap-genrules). For each frequent Z
-the one-item consequents are tested first. Then the passing consequents of
-one size that share all but their last item are joined into the next size,
-a join with any failed subset one item smaller is dropped, and only the rest
-is tested. This is exact because confidence is anti-monotone in the
-consequent: moving an item of Z from X to the consequent shrinks X, which can
-only raise supp(X) and so lower supp(Z) / supp(X). A consequent with a
-failing subset therefore fails too, and every passing one is reached. The
-work follows the rules emitted plus the failures on their border, not the
-``2^|Z| - 2`` antecedents of each Z.
+the one-item consequents are tested first. Then each larger size is
+apriori-gen over the passing consequents one item smaller
+(``apriori.generate_candidates``): those that share all but their last item
+are joined, a join with any failed subset one item smaller is dropped, and
+only the rest is tested. This is exact because confidence is anti-monotone
+in the consequent: moving an item of Z from X to the consequent shrinks X,
+which can only raise supp(X) and so lower supp(Z) / supp(X). A consequent
+with a failing subset therefore fails too, and every passing one is reached.
+The work follows the rules emitted plus the failures on their border, not
+the ``2^|Z| - 2`` antecedents of each Z.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from .apriori import generate_candidates
 from .miner import MineResult
 from .model import Itemset, MiningError, ThresholdError
 
@@ -152,45 +154,32 @@ def _grown(
     """The confident rules of one Z whose consequents have two items or more.
 
     ``level`` holds Z's passing one-item consequents, with their antecedents,
-    in canonical order. Each larger size joins the passing consequents one
-    item smaller that share all but their last item, keeps a join only when
-    every one of its subsets one item smaller passed too, and tests what is
-    left. Rules come out by consequent size descending, each size in
-    canonical antecedent order: the order :func:`generate_rules` emits.
+    in canonical order. Each larger size is apriori-gen over the passing
+    consequents one item smaller (:func:`generate_candidates`), and only its
+    candidates are tested. Rules come out by consequent size descending, each
+    size in canonical antecedent order: the order :func:`generate_rules` emits.
     """
     by_size = []
-    size = 1
     # Stop once the antecedents are single items: a join would leave none.
     while len(level) > 1 and len(level[0][1]) > 1:
-        passed = {consequent for consequent, _ in level}
-        grown = []
+        antecedent_of = dict(level)
+        level = []
         rules = []
-        for p, (head, head_antecedent) in enumerate(level):
-            prefix = head[:-1]
-            for other, _ in level[p + 1 :]:
-                if other[:-1] != prefix:
-                    break  # canonical order keeps equal prefixes contiguous
-                item = other[-1]
-                consequent = head + (item,)
-                # Dropping either of the last two items gives head or other.
-                if not all(
-                    consequent[:i] + consequent[i + 1 :] in passed for i in range(size - 1)
-                ):
-                    continue
-                j = head_antecedent.index(item)
-                antecedent = head_antecedent[:j] + head_antecedent[j + 1 :]
-                # Recorded: head_antecedent is an itemset of a lower level,
-                # so an earlier Z, whose one-item tests looked this one up.
-                supp_x = supports[antecedent]
-                if supp_x <= limit:
-                    grown.append((consequent, antecedent))
-                    rules.append((antecedent, consequent, supp_whole, supp_x))
+        for consequent in generate_candidates(list(antecedent_of)):
+            # The antecedent of the consequent's head, less the added item.
+            head_antecedent = antecedent_of[consequent[:-1]]
+            j = head_antecedent.index(consequent[-1])
+            antecedent = head_antecedent[:j] + head_antecedent[j + 1 :]
+            # Recorded: head_antecedent is an itemset of a lower level,
+            # so an earlier Z, whose one-item tests looked this one up.
+            supp_x = supports[antecedent]
+            if supp_x <= limit:
+                level.append((consequent, antecedent))
+                rules.append((antecedent, consequent, supp_whole, supp_x))
         # Same-size complements come in reverse order: the consequents'
         # canonical order is the antecedents' reversed.
         rules.reverse()
         by_size.append(rules)
-        level = grown
-        size += 1
     return [rule for rules in reversed(by_size) for rule in rules]
 
 

@@ -74,8 +74,7 @@ class TradeList:
     def __init__(self, db: Database) -> None:
         self._db = db
         self._tidsets: list[list[int]] = [[] for _ in range(len(db.items))]
-        # item -> (bitmap, how many of the item's TIDs it covers)
-        self._bitmaps: dict[int, tuple[int, int]] = {}
+        self._bitmaps: dict[int, int] = {}
         # Every item's support as of the last supports() read (None: never
         # read), and the item tuples of the transactions appended since.
         self._supports: np.ndarray | None = None
@@ -165,11 +164,12 @@ class TradeList:
         and counts them in ``bitmap_tids``.
         """
         tids = self._tids(item)
-        bits, covered = self._bitmaps.get(item, (0, 0))
+        bits = self._bitmaps.get(item, 0)
+        covered = bits.bit_count()  # one bit per TID already in the bitmap
         if covered < len(tids):
             first = tids[covered]
             bits |= _bitmap(tids[covered:], first) << first
-            self._bitmaps[item] = (bits, len(tids))
+            self._bitmaps[item] = bits
             self.bitmap_tids += len(tids) - covered
         return bits
 

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,25 @@ class TestGenerateCandidates:
     def test_join_requires_shared_prefix(self):
         # (0,1) and (2,3) share no 1-prefix, so no join at all.
         assert generate_candidates([(0, 1), (2, 3)]) == []
+
+    @settings(max_examples=200)
+    @given(
+        data=st.data(),
+        k=st.integers(1, 4),
+        n_items=st.integers(1, 7),
+    )
+    def test_canonical_in_canonical_out(self, data, k, n_items):
+        # Exactly the (k+1)-itemsets whose every k-subset is given, in
+        # canonical order with no sort, when the input is canonical.
+        every = list(combinations(range(n_items), k))
+        frequents = sorted(data.draw(st.sets(st.sampled_from(every))) if every else [])
+        known = set(frequents)
+        expected = [
+            c
+            for c in combinations(range(n_items), k + 1)
+            if all(sub in known for sub in combinations(c, k))
+        ]
+        assert generate_candidates(frequents) == expected
 
 
 class TestCountSupport:

@@ -501,6 +501,7 @@ class TestBenchCmd:
         (["rules", "--input", str(STORE9), "--minsupp", "2", "--minconf", "abc"], "--minconf"),
         (["rules", "--input", str(STORE9), "--minsupp", "2", "--minconf", "1.5"], "--minconf"),
         (["mine", "--synthetic", "0,5,2,1", "--minsupp", "2"], "--synthetic"),
+        (["mine", "--synthetic", "10,5,2,-1", "--minsupp", "1"], "--synthetic"),
     ],
 )
 def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, argv, flag):
@@ -510,6 +511,28 @@ def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, argv, flag):
     stderr = usage_error(argv + ["--out", str(out)], capsys)
     assert f"argument {flag}: " in stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tradelist", "--input", str(STORE9)],
+        ["mine", "--input", str(STORE9), "--minsupp", "2"],
+        ["rules", "--input", str(STORE9), "--minsupp", "2", "--minconf", "0.7"],
+        [
+            "update", "--input", str(STORE9), "--update", str(UPDATE),
+            "--minsupp", "2", "--minconf", "0.7",
+        ],
+    ],
+    ids=["tradelist", "mine", "rules", "update"],
+)
+@pytest.mark.parametrize("outdir", ["d", "."])
+def test_out_and_outdir_exclude_each_other(tmp_path, capsys, monkeypatch, argv, outdir):
+    # --out pins the output; an --outdir beside it would be ignored.
+    monkeypatch.chdir(tmp_path)
+    stderr = usage_error(argv + ["--out", "o", "--outdir", outdir], capsys)
+    assert "argument --outdir: not allowed with argument --out" in stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestLogRendering:

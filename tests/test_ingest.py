@@ -304,8 +304,19 @@ class TestSynthetic:
             (5, 0, 1.0, 0),
             (5, 3, 0.0, 0),
             (5, 3, 4.0, 0),  # mean above n_items
+            (10.5, 5, 2.0, 1),
+            (10, 5.5, 2.0, 1),
+            (10, 5, 2.0, 1.5),
+            (10, 5, 2.0, "1"),
+            (10, 5, 2.0, -1),
         ],
     )
     def test_invalid_specs(self, spec):
         with pytest.raises(MiningError):
             SyntheticSpec(*spec)
+
+    def test_integral_fields_are_stored_as_ints(self):
+        spec = SyntheticSpec(np.int64(10), np.int32(5), 2.0, np.uint8(3))
+        assert (spec.n_transactions, spec.n_items, spec.seed) == (10, 5, 3)
+        assert all(type(v) is int for v in (spec.n_transactions, spec.n_items, spec.seed))
+        assert generate_synthetic(spec) == generate_synthetic(SyntheticSpec(10, 5, 2.0, 3))

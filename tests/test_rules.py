@@ -175,6 +175,46 @@ class TestGenerateRules:
         expected = brute_rules(result, Fraction(minconf))
         assert generate_rules(result, RuleQuery(Fraction(minconf))) == expected
 
+    @pytest.mark.parametrize(
+        "minconf,lookups,n_rules",
+        [
+            ("3/10", 8613, 6097),
+            ("1/2", 5855, 3354),
+            ("7/10", 4432, 1728),
+            ("9/10", 3903, 770),
+            ("1", 3867, 559),
+        ],
+    )
+    def test_deep_itemsets_confidence_tests_pinned(self, monkeypatch, minconf, lookups, n_rules):
+        # Each confidence test looks one antecedent's support up. Growing
+        # consequents tests the one-item ones of every Z, then only joins
+        # whose every subset one item smaller passed: a weaker prune, or
+        # none, makes more tests for the same rules.
+        db = generate_synthetic(SyntheticSpec(200, 20, 6, 7))
+        result = mine(TradeList.build(db), 6)
+
+        class CountingDict(dict):
+            calls = 0
+
+            def get(self, key, default=None):
+                self.calls += 1
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                self.calls += 1
+                return super().__getitem__(key)
+
+        maps = []
+
+        def counting_support_map(self):
+            maps.append(CountingDict(support_map(self)))
+            return maps[-1]
+
+        support_map = MineResult.support_map
+        monkeypatch.setattr(MineResult, "support_map", counting_support_map)
+        rules = generate_rules(result, RuleQuery(Fraction(minconf)))
+        assert (len(rules), sum(m.calls for m in maps)) == (n_rules, lookups)
+
     @settings(deadline=None, max_examples=50)
     @given(rows=db_rows(max_tx=10, max_items=6), minsupp=st.integers(1, 3))
     def test_confidence_recomputes_from_tidsets(self, rows, minsupp):
