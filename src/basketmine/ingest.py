@@ -8,6 +8,7 @@ an error.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -93,7 +94,8 @@ class SyntheticSpec:
 
     The counts and the seed must be integral (``operator.index``) and are
     stored as ints; the seed must be non-negative, as numpy's generator
-    requires.
+    requires. The mean length must be a real number. A ``bool`` is none of
+    these.
     """
 
     n_transactions: int
@@ -105,6 +107,8 @@ class SyntheticSpec:
         for name in ("n_transactions", "n_items", "seed"):
             value = getattr(self, name)
             try:
+                if isinstance(value, bool):  # an int subclass, but not a count
+                    raise TypeError
                 object.__setattr__(self, name, operator.index(value))
             except TypeError:
                 raise MiningError(f"{name} must be an integer, got {value!r}") from None
@@ -114,12 +118,13 @@ class SyntheticSpec:
             raise MiningError(f"n_transactions must be >= 1, got {self.n_transactions}")
         if self.n_items < 1:
             raise MiningError(f"n_items must be >= 1, got {self.n_items}")
-        if not self.mean_length > 0:
-            raise MiningError(f"mean_length must be > 0, got {self.mean_length}")
-        if self.mean_length > self.n_items:
-            raise MiningError(
-                f"mean_length {self.mean_length} exceeds n_items {self.n_items}"
-            )
+        mean = self.mean_length
+        if not isinstance(mean, numbers.Real) or isinstance(mean, bool):
+            raise MiningError(f"mean_length must be a real number, got {mean!r}")
+        if not mean > 0:
+            raise MiningError(f"mean_length must be > 0, got {mean}")
+        if mean > self.n_items:
+            raise MiningError(f"mean_length {mean} exceeds n_items {self.n_items}")
 
 
 #: Pool draws each row gets: twice its length plus this many. Few rows of the

@@ -66,12 +66,10 @@ Itemset = tuple[int, ...]
 class Interner:
     """Bijective label <-> dense-ordinal map; ordinals follow first appearance.
 
-    ``intern``, ``in`` and ``ordinal`` trim surrounding whitespace, and
-    ``intern`` rejects a new label that is empty after trimming or holds a
-    reserved character (see :meth:`Database.add_transaction`), so every
-    interned label can be written back. ``intern_trimmed`` takes a label its
-    caller has already trimmed and checked. Re-interning a known label is a
-    no-op that returns the ordinal assigned the first time.
+    Labels come in only through :meth:`Database.add_transaction`, which trims
+    and checks every one, so every interned label can be written back.
+    ``in`` and ``ordinal`` trim surrounding whitespace. Re-interning a known
+    label is a no-op that returns the ordinal assigned the first time.
     """
 
     __slots__ = ("_labels", "_by_label")
@@ -86,16 +84,8 @@ class Interner:
     def __contains__(self, label: str) -> bool:
         return label.strip() in self._by_label
 
-    def intern(self, label: str) -> int:
-        label = label.strip()
-        if label not in self._by_label:
-            if not label:
-                raise ParseError("empty label")
-            _check_reserved((label,))
-        return self.intern_trimmed(label)
-
-    def intern_trimmed(self, label: str) -> int:
-        """:meth:`intern` for a label the caller has already trimmed and checked."""
+    def _intern(self, label: str) -> int:
+        """The label's ordinal, the next one if it is new; the caller trimmed and checked it."""
         n = len(self._labels)
         ordinal = self._by_label.setdefault(label, n)
         if ordinal == n:
@@ -237,12 +227,12 @@ class Database:
         if None in ordinals:
             _check_reserved(labels)  # the known ones pass; one joined scan is cheapest
         n_tids = len(self.tids)
-        tid = self.tids.intern_trimmed(tid_label)
+        tid = self.tids._intern(tid_label)
         if tid < n_tids:
             raise DuplicateTidError(f"duplicate TID {tid_label!r}")
         if None in ordinals:
             # New labels intern in the row's order, so ordinals follow first appearance.
-            ordinals = set(map(self.items.intern_trimmed, labels))
+            ordinals = set(map(self.items._intern, labels))
         tx = _sorted_transaction(tid, tuple(sorted(ordinals)))
         self.transactions.append(tx)
         return tx

@@ -103,8 +103,20 @@ def generate_rules(frequents: MineResult, query: RuleQuery) -> list[Rule]:
     supports = frequents.support_map()
     num = query.min_confidence.numerator
     den = query.min_confidence.denominator
-    found: list[tuple[Itemset, Itemset, int, int]] = []
-    add = found.append
+    confidences: dict[tuple[int, int], Fraction] = {}  # one Fraction per support pair
+
+    def rule(antecedent: Itemset, consequent: Itemset, supp_whole: int, supp_x: int) -> Rule:
+        conf = confidences.get((supp_whole, supp_x))
+        if conf is None:
+            conf = confidences[supp_whole, supp_x] = confidence(supp_whole, supp_x)
+        new = _new_object(Rule)
+        _set_antecedent(new, antecedent)
+        _set_consequent(new, consequent)
+        _set_support(new, supp_whole)
+        _set_confidence(new, conf)
+        return new
+
+    rules: list[Rule] = []
     for level in frequents.levels[1:]:
         for fi in level:
             whole, supp_whole = fi.itemset, fi.support
@@ -123,64 +135,39 @@ def generate_rules(frequents: MineResult, query: RuleQuery) -> list[Rule]:
                 )
             passing = [j for j, supp_x in enumerate(supps) if supp_x <= limit]
             if len(passing) > 1 and last > 1:
+                # Larger consequents: apriori-gen over the passing consequents
+                # one item smaller, testing only its candidates.
+                antecedent_of = {(whole[last - j],): antecedents[j] for j in reversed(passing)}
+                by_size = []
+                width = last  # the antecedents' length at this size
+                # Stop once the antecedents are single items: a join would leave none.
+                while len(antecedent_of) > 1 and width > 1:
+                    width -= 1
+                    grown = {}
+                    sized = []
+                    for consequent in generate_candidates(list(antecedent_of)):
+                        # The antecedent of the consequent's head, less the added item.
+                        head_antecedent = antecedent_of[consequent[:-1]]
+                        j = head_antecedent.index(consequent[-1])
+                        antecedent = head_antecedent[:j] + head_antecedent[j + 1 :]
+                        # Recorded: head_antecedent is an itemset of a lower
+                        # level, so an earlier Z, whose one-item tests looked
+                        # this one up.
+                        supp_x = supports[antecedent]
+                        if supp_x <= limit:
+                            grown[consequent] = antecedent
+                            sized.append(rule(antecedent, consequent, supp_whole, supp_x))
+                    # Same-size complements come in reverse order: the
+                    # consequents' canonical order is the antecedents' reversed.
+                    sized.reverse()
+                    by_size.append(sized)
+                    antecedent_of = grown
                 # Larger consequents mean smaller antecedents: they come first.
-                level_1 = [((whole[last - j],), antecedents[j]) for j in reversed(passing)]
-                found += _grown(level_1, supp_whole, supports, limit)
+                for sized in reversed(by_size):
+                    rules += sized
             for j in passing:
-                add((antecedents[j], (whole[last - j],), supp_whole, supps[j]))
-
-    rules: list[Rule] = []
-    append = rules.append
-    confidences: dict[tuple[int, int], Fraction] = {}  # one Fraction per support pair
-    for antecedent, consequent, supp_whole, supp_x in found:
-        conf = confidences.get((supp_whole, supp_x))
-        if conf is None:
-            conf = confidences[supp_whole, supp_x] = confidence(supp_whole, supp_x)
-        rule = _new_object(Rule)
-        _set_antecedent(rule, antecedent)
-        _set_consequent(rule, consequent)
-        _set_support(rule, supp_whole)
-        _set_confidence(rule, conf)
-        append(rule)
+                rules.append(rule(antecedents[j], (whole[last - j],), supp_whole, supps[j]))
     return rules
-
-
-def _grown(
-    level: list[tuple[Itemset, Itemset]],
-    supp_whole: int,
-    supports: dict[Itemset, int],
-    limit: int,
-) -> list[tuple[Itemset, Itemset, int, int]]:
-    """The confident rules of one Z whose consequents have two items or more.
-
-    ``level`` holds Z's passing one-item consequents, with their antecedents,
-    in canonical order. Each larger size is apriori-gen over the passing
-    consequents one item smaller (:func:`generate_candidates`), and only its
-    candidates are tested. Rules come out by consequent size descending, each
-    size in canonical antecedent order: the order :func:`generate_rules` emits.
-    """
-    by_size = []
-    # Stop once the antecedents are single items: a join would leave none.
-    while len(level) > 1 and len(level[0][1]) > 1:
-        antecedent_of = dict(level)
-        level = []
-        rules = []
-        for consequent in generate_candidates(list(antecedent_of)):
-            # The antecedent of the consequent's head, less the added item.
-            head_antecedent = antecedent_of[consequent[:-1]]
-            j = head_antecedent.index(consequent[-1])
-            antecedent = head_antecedent[:j] + head_antecedent[j + 1 :]
-            # Recorded: head_antecedent is an itemset of a lower level,
-            # so an earlier Z, whose one-item tests looked this one up.
-            supp_x = supports[antecedent]
-            if supp_x <= limit:
-                level.append((consequent, antecedent))
-                rules.append((antecedent, consequent, supp_whole, supp_x))
-        # Same-size complements come in reverse order: the consequents'
-        # canonical order is the antecedents' reversed.
-        rules.reverse()
-        by_size.append(rules)
-    return [rule for rules in reversed(by_size) for rule in rules]
 
 
 def format_percent(value: Fraction | int) -> str:

@@ -20,7 +20,6 @@ them in.
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +27,6 @@ import numpy as np
 from .model import (
     Database,
     DuplicateTidError,
-    Itemset,
     MiningError,
     Transaction,
     UnknownItemError,
@@ -76,9 +74,9 @@ class TradeList:
         self._tidsets: list[list[int]] = [[] for _ in range(len(db.items))]
         self._bitmaps: dict[int, int] = {}
         # Every item's support as of the last supports() read (None: never
-        # read), and the item tuples of the transactions appended since.
+        # read), and the items of every transaction appended since, in one list.
         self._supports: np.ndarray | None = None
-        self._pending: list[Itemset] = []
+        self._pending: list[int] = []
         self.n_transactions = 0
         self.raw_passes = 0
         self.bitmap_tids = 0
@@ -109,11 +107,11 @@ class TradeList:
         """
         tidsets, pending, kept = self._tidsets, self._pending, self._supports
         n_items = len(tidsets)
-        n_pending = sum(map(len, pending))
+        n_pending = len(pending)
         if kept is None or 2 * n_pending >= n_items:
             supports = np.fromiter(map(len, tidsets), dtype=np.intp, count=n_items)
         elif n_pending:
-            appended = np.fromiter(chain.from_iterable(pending), dtype=np.intp, count=n_pending)
+            appended = np.fromiter(pending, dtype=np.intp, count=n_pending)
             supports = np.bincount(appended, minlength=n_items)
             supports[: len(kept)] += kept
         else:
@@ -141,7 +139,7 @@ class TradeList:
             tidsets.extend([] for _ in range(grow))
         for item in items:
             tidsets[item].append(tid)
-        self._pending.append(items)
+        self._pending += items
         self.n_transactions = n + 1
 
     def _tids(self, item: int) -> list[int]:
@@ -152,10 +150,6 @@ class TradeList:
     def tidset(self, item: int) -> tuple[int, ...]:
         """A copy of a single item's tidset."""
         return tuple(self._tids(item))
-
-    def item_support(self, item: int) -> int:
-        """Support of one item: the length of its tidset."""
-        return len(self._tids(item))
 
     def bitmap(self, item: int) -> int:
         """The item's tidset as an int whose bit t is set iff t is in it.

@@ -215,7 +215,7 @@ def test_criterion_9_quantified_invariants():
 
             for itemset, support in supports.items():
                 # Support anti-monotonicity against the single items.
-                assert support <= min(tl.item_support(i) for i in itemset)
+                assert support <= min(len(tl.tidset(i)) for i in itemset)
                 # Downward closure: every proper subset present, never lighter.
                 for size in range(1, len(itemset)):
                     for sub in combinations(itemset, size):

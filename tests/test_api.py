@@ -16,7 +16,7 @@ import pytest
 
 import basketmine
 from basketmine import cli
-from basketmine.model import Database
+from basketmine.model import Database, Interner
 from basketmine.tradelist import TradeList
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -74,6 +74,13 @@ def test_cli_surface_is_pinned():
     assert option_strings(parser) == {"-h", "--help"}
     (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert {name: option_strings(sub) for name, sub in commands.choices.items()} == CLI_FLAGS
+
+
+def test_interner_surface_is_pinned():
+    # Labels reach the dictionaries only through Database.add_transaction, which
+    # checks them; a second public write path would be a visible edit here.
+    public = {name for name in vars(Interner) if not name.startswith("_")}
+    assert public == {"label", "label_getter", "labels", "ordinal", "truncate"}
 
 
 @pytest.mark.parametrize("module", ["basketmine", *sorted(f"basketmine.{m}" for m in SUBMODULES)])

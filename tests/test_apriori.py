@@ -97,7 +97,7 @@ class TestCountSupport:
     def test_counts_match_direct_subset_tests(self, data, rows, ghost):
         db = db_from_rows(rows)
         if ghost:
-            db.items.intern("ghost")  # an item no row contains
+            db.items._intern("ghost")  # an item no row contains
         # Ordinals up to two past the dictionary, which no row can hold.
         universe = len(db.items) + 2
         k = data.draw(st.integers(1, min(4, universe)), label="k")

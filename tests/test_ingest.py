@@ -200,7 +200,7 @@ class TestWrite:
     def test_ordinal_outside_the_dictionaries_raises(self, tid, items):
         # Two items and two TIDs; the row is appended by hand, bypassing interning.
         db = parse_database("T1,a,b\n")
-        db.tids.intern("T2")
+        db.tids._intern("T2")
         db.transactions.append(Transaction(tid, items))
         with pytest.raises(UnknownItemError):
             write_database(db)
@@ -309,6 +309,13 @@ class TestSynthetic:
             (10, 5, 2.0, 1.5),
             (10, 5, 2.0, "1"),
             (10, 5, 2.0, -1),
+            (10, 5, "2", 1),
+            (10, 5, None, 1),
+            (10, 5, True, 1),
+            (10, 5, 2j, 1),
+            (True, 5, 2.0, 1),
+            (10, True, 1.0, 1),
+            (10, 5, 2.0, True),
         ],
     )
     def test_invalid_specs(self, spec):

@@ -133,7 +133,7 @@ class TestProperties:
         tl = TradeList.build(db)
         supports = mine(tl, minsupp).support_map()
         for itemset, support in supports.items():
-            assert support <= min(tl.item_support(i) for i in itemset)
+            assert support <= min(len(tl.tidset(i)) for i in itemset)
             for size in range(1, len(itemset)):
                 for sub in combinations(itemset, size):
                     assert sub in supports
@@ -263,15 +263,15 @@ class TestBitmapCache:
                 assert grown.stats.intersections == fresh.stats.intersections
                 frequent = [fi.itemset[0] for fi in grown.level(1)]
                 if len(frequent) > 1:
-                    expected = sum(tl.item_support(i) - covered.get(i, 0) for i in frequent)
+                    expected = sum(len(tl.tidset(i)) - covered.get(i, 0) for i in frequent)
                     assert grown.stats.bitmap_tids == expected
-                    assert fresh.stats.bitmap_tids == sum(tl.item_support(i) for i in frequent)
-                    covered.update((i, tl.item_support(i)) for i in frequent)
+                    assert fresh.stats.bitmap_tids == sum(len(tl.tidset(i)) for i in frequent)
+                    covered.update((i, len(tl.tidset(i))) for i in frequent)
                 else:
                     assert grown.stats.bitmap_tids == fresh.stats.bitmap_tids == 0
                 if data.draw(st.booleans(), label="read every cached bitmap"):
                     for item in covered:
                         assert tl.bitmap(item) == fresh_bitmap(tl, item)
-                        covered[item] = tl.item_support(item)
+                        covered[item] = len(tl.tidset(item))
             for t, row in enumerate(rows[lo:hi], start=lo):
                 tl.add_transaction(db.add_transaction(f"T{t + 1}", [f"I{i}" for i in row]))

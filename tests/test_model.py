@@ -10,7 +10,6 @@ from basketmine.ingest import parse_database, write_database
 from basketmine.model import (
     Database,
     DuplicateTidError,
-    Interner,
     MiningError,
     ParseError,
     SupportThreshold,
@@ -26,68 +25,76 @@ from oracles import db_from_rows, db_rows
 #: The field separator and every line boundary ``str.splitlines`` breaks at.
 RESERVED = ",\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
-#: Labels ``Interner.intern`` accepts: non-empty after trimming, nothing reserved.
+#: Item labels ``Database.add_transaction`` accepts: non-empty after trimming, nothing reserved.
 labels = st.text(st.characters(exclude_characters=RESERVED), min_size=1).filter(
     lambda s: s.strip()
 )
 
 
+def intern(db: Database, label: str) -> int:
+    """Intern one item label the way the package does, in a row of its own; its ordinal."""
+    (ordinal,) = db.add_transaction(f"T{db.n_transactions}", [label]).items
+    return ordinal
+
+
 class TestInterner:
     def test_first_assignment_is_zero(self):
-        interner = Interner()
-        assert interner.intern("I1") == 0
+        assert intern(Database(), "I1") == 0
 
     def test_interning_is_idempotent(self):
-        interner = Interner()
-        assert interner.intern("I1") == 0
-        assert interner.intern("I1") == 0
-        assert len(interner) == 1
+        db = Database()
+        assert intern(db, "I1") == 0
+        assert intern(db, "I1") == 0
+        assert len(db.items) == 1
 
     def test_first_appearance_order(self):
-        interner = Interner()
-        got = [interner.intern(lbl) for lbl in ("I1", "I2", "I1", "I5")]
+        db = Database()
+        got = [intern(db, lbl) for lbl in ("I1", "I2", "I1", "I5")]
         assert got == [0, 1, 0, 2]
 
     def test_whitespace_is_trimmed(self):
-        interner = Interner()
-        assert interner.intern("  I1 ") == interner.intern("I1")
-        assert "I1" in interner
-        assert " I1 " in interner
+        db = Database()
+        assert intern(db, "  I1 ") == intern(db, "I1")
+        assert "I1" in db.items
+        assert " I1 " in db.items
 
     @pytest.mark.parametrize("bad", ["", "   ", "\t"])
     def test_empty_label_rejected(self, bad):
+        db = Database()
         with pytest.raises(ParseError):
-            Interner().intern(bad)
+            intern(db, bad)
+        assert len(db.items) == 0
 
     @pytest.mark.parametrize("sep", list(RESERVED))
     def test_reserved_character_rejected(self, sep):
-        # The public intern is no back door for a label the text format cannot write.
-        interner = Interner()
-        interner.intern("I1")
+        # No label reaches the dictionary that the text format cannot write.
+        db = Database()
+        intern(db, "I1")
         with pytest.raises(ParseError, match="reserved"):
-            interner.intern(f"a{sep}b")
-        assert interner.labels() == ("I1",)
+            intern(db, f"a{sep}b")
+        assert db.items.labels() == ("I1",)
 
     def test_unknown_lookups(self):
-        interner = Interner()
-        interner.intern("I1")
+        db = Database()
+        intern(db, "I1")
         with pytest.raises(UnknownItemError):
-            interner.ordinal("I9")
+            db.items.ordinal("I9")
         with pytest.raises(UnknownItemError):
-            interner.label(1)
+            db.items.label(1)
 
     @given(st.lists(labels, max_size=30))
     def test_reinterning_reproduces_assignments(self, seq):
         """Ordinals are a pure function of first-appearance order."""
-        first = Interner()
-        second = Interner()
-        assert [first.intern(s) for s in seq] == [second.intern(s) for s in seq]
+        first = Database()
+        second = Database()
+        assert [intern(first, s) for s in seq] == [intern(second, s) for s in seq]
 
     @given(st.lists(labels, max_size=30))
     def test_label_ordinal_bijection(self, seq):
-        interner = Interner()
+        db = Database()
         for s in seq:
-            interner.intern(s)
+            intern(db, s)
+        interner = db.items
         for ordinal in range(len(interner)):
             assert interner.ordinal(interner.label(ordinal)) == ordinal
 

@@ -39,8 +39,8 @@ class TestBuild:
         assert tid_labels(store9_db, tl.tidset(i1)) == [
             "T100", "T400", "T500", "T700", "T800", "T900",
         ]
-        assert tl.item_support(store9_db.items.ordinal("I4")) == 2
-        assert tl.item_support(store9_db.items.ordinal("I5")) == 2
+        assert len(tl.tidset(store9_db.items.ordinal("I4"))) == 2
+        assert len(tl.tidset(store9_db.items.ordinal("I5"))) == 2
 
     def test_store9_all_five_tidsets(self, store9_db):
         tl = TradeList.build(store9_db)
@@ -66,7 +66,7 @@ class TestBuild:
         tl = TradeList.build(store9_db)
         assert tl.raw_passes == 1
         assert and_bitmap(tl, [0, 1]) == as_bitmap(brute_tidset(store9_db, [0, 1]))
-        tl.item_support(0)
+        tl.tidset(0)
         assert tl.raw_passes == 1
 
 
@@ -75,8 +75,8 @@ class TestAddTransaction:
         tl = TradeList.build(store9_db)
         tx = store9_db.add_transaction("T910", ["I1", "I4"])
         tl.add_transaction(tx)
-        assert tl.item_support(store9_db.items.ordinal("I4")) == 3
-        assert tl.item_support(store9_db.items.ordinal("I1")) == 7
+        assert len(tl.tidset(store9_db.items.ordinal("I4"))) == 3
+        assert len(tl.tidset(store9_db.items.ordinal("I1"))) == 7
         assert tl.n_transactions == 10
         assert tl.raw_passes == 1
 
@@ -97,14 +97,14 @@ class TestAddTransaction:
         tx = store9_db.add_transaction("T910", ["I1", "I9"])
         tl.add_transaction(tx)
         assert tl.n_items == 6
-        assert tl.item_support(store9_db.items.ordinal("I9")) == 1
+        assert len(tl.tidset(store9_db.items.ordinal("I9"))) == 1
 
     def test_index_grows_to_the_rows_largest_item(self, store9_db):
         tl = TradeList.build(store9_db)
-        store9_db.items.intern("I6")  # an item no indexed row holds
+        store9_db.items._intern("I6")  # an item no indexed row holds
         tl.add_transaction(store9_db.add_transaction("T910", ["I7", "I2", "I8"]))
         assert tl.n_items == 8
-        assert [tl.item_support(store9_db.items.ordinal(f"I{k}")) for k in (6, 7, 8)] == [0, 1, 1]
+        assert [len(tl.tidset(store9_db.items.ordinal(f"I{k}"))) for k in (6, 7, 8)] == [0, 1, 1]
 
     def test_duplicate_ordinal_rejected(self, store9_db):
         tl = TradeList.build(store9_db)
@@ -134,13 +134,13 @@ class TestAddTransaction:
 class TestQueries:
     def test_item_support_counts(self, store9_db):
         tl = TradeList.build(store9_db)
-        assert tl.item_support(store9_db.items.ordinal("I1")) == 6
-        assert tl.item_support(store9_db.items.ordinal("I2")) == 7
+        assert len(tl.tidset(store9_db.items.ordinal("I1"))) == 6
+        assert len(tl.tidset(store9_db.items.ordinal("I2"))) == 7
 
     def test_unknown_item(self, store9_db):
         tl = TradeList.build(store9_db)
         with pytest.raises(UnknownItemError):
-            tl.item_support(99)
+            tl.tidset(99)
         with pytest.raises(UnknownItemError):
             and_bitmap(tl, [0, 99])
 
@@ -217,7 +217,7 @@ class TestReadOnly:
     def test_supports_is_a_fresh_array(self, store9_db):
         tl = TradeList.build(store9_db)
         supports = tl.supports()
-        assert supports.tolist() == [tl.item_support(i) for i in range(tl.n_items)]
+        assert supports.tolist() == [len(tl.tidset(i)) for i in range(tl.n_items)]
         supports[:] = 0
         assert tl.supports().tolist() == [6, 7, 2, 2, 6]
 
@@ -312,8 +312,8 @@ class TestBitmap:
             for item in sorted(read & set(range(tl.n_items))):
                 before = tl.bitmap_tids
                 assert tl.bitmap(item) == fresh_bitmap(tl, item)
-                assert tl.bitmap_tids - before == tl.item_support(item) - covered.get(item, 0)
-                covered[item] = tl.item_support(item)
+                assert tl.bitmap_tids - before == len(tl.tidset(item)) - covered.get(item, 0)
+                covered[item] = len(tl.tidset(item))
             for tx in full.transactions[lo:hi]:
                 tl.add_transaction(tx)
         assert [tl.bitmap(i) for i in range(tl.n_items)] == [
