@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .miner import FrequentItemset, MineResult, MineStats
+from .miner import FrequentItemset, MineResult, MineStats, _frequent_itemset
 from .model import (
     Database,
     Itemset,
@@ -140,7 +140,7 @@ def mine_apriori(db: Database, threshold: SupportThreshold | int) -> MineResult:
         item_counts += np.bincount(items, minlength=len(db.items))
         checks += len(items)
     current = [
-        FrequentItemset((item,), count)
+        _frequent_itemset((item,), count)
         for item, count in enumerate(item_counts.tolist())
         if count >= minsupp
     ]
@@ -156,7 +156,7 @@ def mine_apriori(db: Database, threshold: SupportThreshold | int) -> MineResult:
         raw_passes += 1
         checks += len(candidates) * db.n_transactions
         current = [
-            FrequentItemset(itemset, count)
+            _frequent_itemset(itemset, count)
             for itemset, count in zip(candidates, count_support(db, candidates))
             if count >= minsupp
         ]

@@ -27,7 +27,7 @@ from typing import Callable, NoReturn, TypeVar
 from .apriori import mine_apriori
 from .ingest import SyntheticSpec, generate_synthetic, parse_database, parse_into
 from .miner import MineResult, mine, remine
-from .model import Database, Itemset, MiningError, ParseError, SupportThreshold, UnknownItemError
+from .model import Database, MiningError, ParseError, SupportThreshold, UnknownItemError
 from .rules import Rule, RuleQuery, format_percent, generate_rules, parse_confidence
 from .tradelist import TradeList
 
@@ -47,11 +47,9 @@ def format_freq_log(result: MineResult, db: Database) -> str:
     lines = []
     try:
         for row, fi in enumerate(result, 1):
-            itemset = fi.itemset
-            _check_least(itemset)
-            lines.append(f"{row}-{', '.join(map(label, itemset))}\n")
+            lines.append(f"{row}-{', '.join(map(label, fi.itemset))}\n")
     except IndexError:
-        _unknown(itemset)
+        _unknown(fi)
     return "".join(lines)
 
 
@@ -61,30 +59,17 @@ def format_rules_log(rules: list[Rule], db: Database) -> str:
     lines = []
     try:
         for rule in rules:
-            itemset = rule.antecedent
-            _check_least(itemset)
-            lhs = ",".join(map(label, itemset))
-            itemset = rule.consequent
-            _check_least(itemset)
-            rhs = ",".join(map(label, itemset))
+            lhs = ",".join(map(label, rule.antecedent))
+            rhs = ",".join(map(label, rule.consequent))
             lines.append(f"{lhs}->{rhs} = {format_percent(rule.confidence)}\n")
     except IndexError:
-        _unknown(itemset)
+        _unknown(rule)
     return "".join(lines)
 
 
-def _check_least(itemset: Itemset) -> None:
-    """Raise IndexError when the itemset's least ordinal, its first, is negative.
-
-    ``label_getter`` reports an ordinal past the end by IndexError, but counts
-    a negative one from the end.
-    """
-    if itemset[0] < 0:
-        raise IndexError(itemset[0])
-
-
-def _unknown(itemset: Itemset) -> NoReturn:
-    raise UnknownItemError(f"itemset {itemset} holds an ordinal the database lacks") from None
+def _unknown(record: object) -> NoReturn:
+    # Records reject negative ordinals when built: this one is past the end.
+    raise UnknownItemError(f"{record} holds an ordinal the database lacks") from None
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +167,6 @@ def cmd_update(args: argparse.Namespace) -> int:
     for tx in added:
         tl.add_transaction(tx)
     result = remine(tl, args.threshold)
-    if tl.raw_passes != 1 or result.stats.raw_passes != 0:
-        raise MiningError(
-            "incremental update touched the raw database "
-            f"(build={tl.raw_passes}, re-mine={result.stats.raw_passes})"
-        )
     rules = generate_rules(result, args.query)
 
     if args.out is not None:
@@ -202,7 +182,8 @@ def cmd_update(args: argparse.Namespace) -> int:
         format_freq_log(result, db),
         format_rules_log(rules, db),
     )
-    print(f"added {len(added)} transactions; raw passes: build=1, update+re-mine=0")
+    passes = f"build={tl.raw_passes}, update+re-mine={result.stats.raw_passes}"
+    print(f"added {len(added)} transactions; raw passes: {passes}")
     _print_mine_summary(result, tl.raw_passes)
     for name, text in zip(names, texts):
         path = outdir / name

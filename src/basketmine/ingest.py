@@ -78,13 +78,13 @@ def write_database(db: Database) -> str:
     first-appearance order on re-parse, so parse(write(db)) == db including
     both dictionaries.
     """
-    items, tids = db.items.labels(), db.tids.labels()
+    item_label, tid_label = db.items.label_getter(), db.tids.label_getter()
     lines = []
-    for tx in db.transactions:
-        # Items are strictly increasing, so the first and last bound the row.
-        if not (0 <= tx.tid < len(tids) and 0 <= tx.items[0] and tx.items[-1] < len(items)):
-            raise UnknownItemError(f"transaction {tx.tid} has an ordinal its database lacks")
-        lines.append(",".join([tids[tx.tid], *map(items.__getitem__, tx.items)]))
+    try:
+        for tx in db.transactions:
+            lines.append(",".join([tid_label(tx.tid), *map(item_label, tx.items)]))
+    except IndexError:
+        raise UnknownItemError(f"transaction {tx.tid} has an ordinal its database lacks") from None
     return "".join(line + "\n" for line in lines)
 
 

@@ -24,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import Itemset, SupportThreshold, resolve_threshold
+from .model import Itemset, SupportThreshold, _check_itemset, resolve_threshold
 from .tradelist import TradeList
 
 __all__ = ["FrequentItemset", "MineResult", "MineStats", "mine", "remine"]
@@ -37,9 +37,13 @@ class FrequentItemset:
     itemset: Itemset
     support: int
 
+    def __post_init__(self) -> None:
+        _check_itemset(self.itemset, "frequent itemset")
 
-# mine builds each FrequentItemset through its slots' own setters, which get
-# past the frozen __setattr__ (as model._sorted_transaction does).
+
+# mine and mine_apriori build each FrequentItemset through its slots' own
+# setters, which get past the frozen __setattr__ and the check (as
+# model._sorted_transaction does): their itemsets are canonical.
 _new_object = object.__new__
 _set_itemset = FrequentItemset.__dict__["itemset"].__set__
 _set_support = FrequentItemset.__dict__["support"].__set__

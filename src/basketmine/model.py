@@ -110,8 +110,8 @@ class Interner:
         """:meth:`label` without the check, for rendering many ordinals at once.
 
         It indexes the live list, copying nothing. An ordinal past the end
-        raises ``IndexError``, but a negative one counts from the end: the
-        caller rejects those itself.
+        raises ``IndexError``. A negative one would count from the end, but no
+        record holds one: their constructors reject it (``_check_itemset``).
         """
         return self._labels.__getitem__
 
@@ -122,6 +122,13 @@ class Interner:
         del self._labels[n:]
 
 
+def _check_itemset(itemset: Itemset, what: str) -> None:
+    """Reject all but a non-empty, strictly increasing tuple of ordinals >= 0."""
+    ordered = isinstance(itemset, tuple) and all(map(operator.lt, itemset, itemset[1:]))
+    if not (ordered and itemset and itemset[0] >= 0):
+        raise MiningError(f"{what} {itemset!r} is empty or not strictly increasing ordinals >= 0")
+
+
 @dataclass(frozen=True, slots=True)
 class Transaction:
     """One purchase record: its TID ordinal plus a strictly increasing item tuple."""
@@ -130,11 +137,9 @@ class Transaction:
     items: Itemset
 
     def __post_init__(self) -> None:
-        items = self.items
-        if not items:
-            raise MiningError(f"transaction {self.tid} has no items")
-        if not all(map(operator.lt, items, items[1:])):
-            raise MiningError(f"transaction {self.tid} items not strictly increasing")
+        if self.tid < 0:
+            raise MiningError(f"transaction ordinal must be >= 0, got {self.tid}")
+        _check_itemset(self.items, f"transaction {self.tid}")
 
     def __len__(self) -> int:
         return len(self.items)
@@ -148,9 +153,9 @@ _set_items = Transaction.__dict__["items"].__set__
 def _sorted_transaction(tid: int, items: Itemset) -> Transaction:
     """A :class:`Transaction` whose items the caller has just sorted and de-duplicated.
 
-    Skips the order check in ``__post_init__``: ``items`` must be a non-empty,
-    strictly increasing tuple. The slots' own setters get past the frozen
-    ``__setattr__``.
+    Skips the checks in ``__post_init__``: ``tid`` must be non-negative and
+    ``items`` a non-empty, strictly increasing tuple of non-negative ordinals.
+    The slots' own setters get past the frozen ``__setattr__``.
     """
     tx = _new_object(Transaction)
     _set_tid(tx, tid)
@@ -250,6 +255,14 @@ class Database:
         return f"Database({self.n_transactions} transactions, {len(self.items)} items)"
 
 
+def _exact_fraction(value: Fraction | str | float | int, what: str) -> Fraction:
+    """``value`` exactly: a string as written, a float (numpy's too) at its shortest repr."""
+    try:
+        return Fraction(str(value) if isinstance(value, float) else value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ThresholdError(f"bad {what} {value!r}: {exc}") from None
+
+
 @dataclass(frozen=True)
 class SupportThreshold:
     """Minimum support: either an absolute count or a fraction of |D|.
@@ -257,10 +270,9 @@ class SupportThreshold:
     A fractional threshold resolves to ``max(1, ceil(fraction * n))`` so that
     "support >= threshold" matches the percentage reading exactly; ceiling is
     used, never rounding. A count must be integral (``operator.index``): a
-    float or a string is rejected rather than truncated. A fraction is stored
-    as an exact ``Fraction``: strings parse exactly ("0.3" is 3/10) and floats
-    are taken at their shortest decimal repr, so 0.2 means exactly 1/5 rather
-    than the nearest binary double.
+    float, a string or a ``bool`` is rejected rather than truncated. A
+    fraction is stored as an exact ``Fraction``: 0.2 means 1/5, not the
+    nearest binary double.
     """
 
     count: int | None = None
@@ -271,6 +283,8 @@ class SupportThreshold:
             raise ThresholdError("exactly one of count or fraction must be given")
         if self.count is not None:
             try:
+                if isinstance(self.count, bool):  # an int subclass, but not a count
+                    raise TypeError
                 count = operator.index(self.count)
             except TypeError:
                 raise ThresholdError(
@@ -281,12 +295,7 @@ class SupportThreshold:
                 raise ThresholdError(f"absolute support must be >= 1, got {count}")
             object.__setattr__(self, "count", count)
         else:
-            value = self.fraction
-            try:
-                # str of a float (also a numpy one) is its shortest repr.
-                fraction = Fraction(str(value) if isinstance(value, float) else value)
-            except (TypeError, ValueError, ZeroDivisionError) as exc:
-                raise ThresholdError(f"bad fractional support {value!r}: {exc}") from None
+            fraction = _exact_fraction(self.fraction, "fractional support")
             if not 0 < fraction <= 1:
                 raise ThresholdError(f"fractional support must be in (0, 1], got {fraction}")
             object.__setattr__(self, "fraction", fraction)

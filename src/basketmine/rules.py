@@ -29,7 +29,7 @@ from itertools import combinations
 
 from .apriori import generate_candidates
 from .miner import MineResult
-from .model import Itemset, MiningError, ThresholdError
+from .model import Itemset, MiningError, ThresholdError, _check_itemset, _exact_fraction
 
 __all__ = [
     "Rule",
@@ -50,6 +50,10 @@ class Rule:
     support: int
     confidence: Fraction
 
+    def __post_init__(self) -> None:
+        _check_itemset(self.antecedent, "rule antecedent")
+        _check_itemset(self.consequent, "rule consequent")
+
 
 # generate_rules builds each Rule through its slots' own setters, which get
 # past the frozen __setattr__ (as model._sorted_transaction does).
@@ -62,13 +66,15 @@ _set_confidence = Rule.__dict__["confidence"].__set__
 
 @dataclass(frozen=True)
 class RuleQuery:
+    """The minimum confidence, read to an exact ``Fraction`` as a fractional support is."""
+
     min_confidence: Fraction
 
     def __post_init__(self) -> None:
-        if not 0 < self.min_confidence <= 1:
-            raise ThresholdError(
-                f"minimum confidence must be in (0, 1], got {self.min_confidence}"
-            )
+        value = _exact_fraction(self.min_confidence, "minimum confidence")
+        if not 0 < value <= 1:
+            raise ThresholdError(f"minimum confidence must be in (0, 1], got {value}")
+        object.__setattr__(self, "min_confidence", value)
 
 
 def parse_confidence(text: str) -> Fraction:

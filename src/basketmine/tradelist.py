@@ -169,16 +169,14 @@ class TradeList:
 
     def serialize_log(self) -> str:
         """One ``<item> = <tid>, <tid>, ...`` line per item, first-appearance order."""
-        items, tids = self._db.items.labels(), self._db.tids.labels()
-        # Indexed items are below len(self._tidsets) and TIDs below n_transactions,
-        # so this one check stands in for a bounds check per entry.
-        if len(items) < len(self._tidsets) or len(tids) < self.n_transactions:
-            raise UnknownItemError("trade list indexes labels its database does not have")
-        tid_label = tids.__getitem__
-        return "".join(
-            f"{label} = {', '.join(map(tid_label, tidset))}\n"
-            for label, tidset in zip(items, self._tidsets)
-        )
+        item_label, tid_label = self._db.items.label_getter(), self._db.tids.label_getter()
+        try:
+            return "".join(
+                f"{item_label(item)} = {', '.join(map(tid_label, tidset))}\n"
+                for item, tidset in enumerate(self._tidsets)
+            )
+        except IndexError:
+            raise UnknownItemError("trade list indexes labels its database lacks") from None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TradeList):

@@ -6,7 +6,7 @@ import pytest
 
 from basketmine.cli import BENCH_CSV_HEADER, format_freq_log, format_rules_log, main
 from basketmine.miner import FrequentItemset, MineResult, MineStats
-from basketmine.model import UnknownItemError
+from basketmine.model import MiningError, UnknownItemError
 from basketmine.rules import Rule
 
 from conftest import DATA, GOLDEN
@@ -536,9 +536,13 @@ def test_out_and_outdir_exclude_each_other(tmp_path, capsys, monkeypatch, argv, 
 
 
 class TestLogRendering:
-    """The logs name items by label; an ordinal the database lacks is an error."""
+    """The logs name items by label; an ordinal the database lacks is an error.
 
-    @pytest.mark.parametrize("itemset", [(5,), (0, 5), (-1,), (-1, 0)])
+    An ordinal past the end is caught when a log is rendered; a negative one,
+    which a label list would count from the end, when its record is built.
+    """
+
+    @pytest.mark.parametrize("itemset", [(5,), (0, 5)])
     def test_freq_log_rejects_an_unknown_ordinal(self, store9_db, itemset):
         assert len(store9_db.items) == 5
         result = MineResult([[FrequentItemset(itemset, 2)]], MineStats(0))
@@ -547,12 +551,26 @@ class TestLogRendering:
 
     @pytest.mark.parametrize(
         "antecedent,consequent",
-        [((5,), (0,)), ((0,), (1, 5)), ((-1,), (0,)), ((0,), (-1, 1))],
+        [((5,), (0,)), ((0,), (1, 5))],
     )
     def test_rules_log_rejects_an_unknown_ordinal(self, store9_db, antecedent, consequent):
         rule = Rule(antecedent, consequent, 2, Fraction(1, 2))
         with pytest.raises(UnknownItemError):
             format_rules_log([rule], store9_db)
+
+    # (0, -1) rendered as "1-I1, I3" when only the least ordinal was checked.
+    @pytest.mark.parametrize("itemset", [(-1,), (-1, 0), (0, -1)])
+    def test_frequent_itemset_with_a_negative_ordinal_is_not_built(self, itemset):
+        with pytest.raises(MiningError):
+            FrequentItemset(itemset, 2)
+
+    # ((1, -1), (0,)) rendered as "I2,I3->I1 = 50%" on store9.
+    @pytest.mark.parametrize(
+        "antecedent,consequent", [((-1,), (0,)), ((0,), (-1, 1)), ((1, -1), (0,))]
+    )
+    def test_rule_with_a_negative_ordinal_is_not_built(self, antecedent, consequent):
+        with pytest.raises(MiningError):
+            Rule(antecedent, consequent, 2, Fraction(1, 2))
 
 
 def test_logs_are_reproducible(tmp_path, capsys):

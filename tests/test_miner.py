@@ -75,6 +75,11 @@ class TestMine:
         with pytest.raises(ThresholdError, match="SupportThreshold.fractional"):
             mine(TradeList.build(store9_db), threshold)
 
+    def test_bool_threshold_rejected(self, store9_db):
+        # True once counted as a support of 1.
+        with pytest.raises(ThresholdError):
+            mine(TradeList.build(store9_db), True)
+
     def test_empty_tradelist(self):
         result = mine(TradeList.build(Database()), 2)
         assert result.levels == []

@@ -18,9 +18,14 @@ from basketmine.model import (
     UnknownItemError,
     resolve_threshold,
 )
+from basketmine.rules import RuleQuery
 from basketmine.tradelist import TradeList
 
 from oracles import db_from_rows, db_rows
+
+#: Values that read exactly as 7/100, and values that are no fraction in (0, 1].
+FRACTION_LIKE_7_100 = [0.07, "0.07", "7/100", Fraction(7, 100), np.float64(0.07)]
+BAD_FRACTIONS = ["half", "1/0", object(), [1], float("nan"), "0", 1.5]
 
 #: The field separator and every line boundary ``str.splitlines`` breaks at.
 RESERVED = ",\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -104,10 +109,19 @@ class TestTransaction:
         with pytest.raises(MiningError):
             Transaction(0, ())
 
-    @pytest.mark.parametrize("items", [(2, 1), (1, 1), (0, 2, 2)])
+    # (-1, 0) increases, but a label list would count -1 from the end.
+    @pytest.mark.parametrize("items", [(2, 1), (1, 1), (0, 2, 2), (-1, 0)])
     def test_rejects_non_increasing(self, items):
         with pytest.raises(MiningError):
             Transaction(0, items)
+
+    def test_rejects_a_negative_tid(self):
+        with pytest.raises(MiningError):
+            Transaction(-1, (0,))
+
+    def test_rejects_items_that_are_not_a_tuple(self):
+        with pytest.raises(MiningError):
+            Transaction(0, [0, 1])
 
     def test_len(self):
         assert len(Transaction(0, (1, 4, 7))) == 3
@@ -288,7 +302,7 @@ class TestSupportThreshold:
     def test_absolute_on_empty_database_is_fine(self):
         assert SupportThreshold.absolute(3).resolve(0) == 3
 
-    @pytest.mark.parametrize("count", [0, -1, 2.9, 0.05, "2"])
+    @pytest.mark.parametrize("count", [0, -1, 2.9, 0.05, "2", True])
     def test_invalid_absolute(self, count):
         with pytest.raises(ThresholdError):
             SupportThreshold.absolute(count)
@@ -307,7 +321,7 @@ class TestSupportThreshold:
         with pytest.raises(ThresholdError):
             SupportThreshold.fractional("abc")
 
-    @pytest.mark.parametrize("value", [0.07, "0.07", "7/100", Fraction(7, 100), np.float64(0.07)])
+    @pytest.mark.parametrize("value", FRACTION_LIKE_7_100)
     def test_constructor_normalises_fraction_like_fractional(self, value):
         # A float is read at its shortest repr by both routes: 0.07 * 100 is
         # 7.000000000000001 in binary, which would resolve to 8.
@@ -316,7 +330,7 @@ class TestSupportThreshold:
         assert type(direct.fraction) is Fraction and direct.fraction == Fraction(7, 100)
         assert direct.resolve(100) == 7
 
-    @pytest.mark.parametrize("value", ["half", "1/0", object(), [1], float("nan"), "0", 1.5])
+    @pytest.mark.parametrize("value", BAD_FRACTIONS)
     def test_constructor_rejects_bad_fraction_with_threshold_error(self, value):
         with pytest.raises(ThresholdError):
             SupportThreshold(fraction=value)
@@ -340,6 +354,20 @@ class TestSupportThreshold:
             larger_frac = SupportThreshold.fractional(frac + Fraction(bump, den * 10))
             assert larger_frac.resolve(n) >= base
         assert SupportThreshold.fractional(frac).resolve(n + bump) >= base
+
+
+class TestRuleQuery:
+    """The minimum confidence is read as a fractional support is."""
+
+    @pytest.mark.parametrize("value", FRACTION_LIKE_7_100)
+    def test_normalises_like_fractional(self, value):
+        query = RuleQuery(value)
+        assert type(query.min_confidence) is Fraction and query.min_confidence == Fraction(7, 100)
+
+    @pytest.mark.parametrize("value", BAD_FRACTIONS)
+    def test_rejects_bad_fraction_with_threshold_error(self, value):
+        with pytest.raises(ThresholdError):
+            RuleQuery(value)
 
 
 def test_resolve_threshold_accepts_bare_ints():

@@ -86,6 +86,13 @@ class TestGenerateRules:
         rules = generate_rules(result, RuleQuery(Fraction(7, 10)))
         assert rules == self.expected_store9_rules(store9_db)
 
+    @pytest.mark.parametrize("minconf", [0.7, "0.7", "7/10"])
+    def test_query_from_a_float_or_a_string(self, store9_db, minconf):
+        # A float once reached generate_rules unconverted and raised AttributeError.
+        result = mine(TradeList.build(store9_db), 2)
+        rules = generate_rules(result, RuleQuery(minconf))
+        assert rules == self.expected_store9_rules(store9_db)
+
     def test_minconf_one_keeps_exact_implications(self, store9_db):
         result = mine(TradeList.build(store9_db), 2)
         rules = generate_rules(result, RuleQuery(Fraction(1)))

@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from basketmine.ingest import parse_database, parse_into
 from basketmine.miner import mine
-from basketmine.model import Database, DuplicateTidError, MiningError, UnknownItemError
+from basketmine.model import (
+    Database,
+    DuplicateTidError,
+    MiningError,
+    Transaction,
+    UnknownItemError,
+)
 from basketmine.tradelist import TradeList
 
 from oracles import brute_tidset, db_from_rows, db_rows, read_tradelist_log
@@ -110,6 +116,13 @@ class TestAddTransaction:
         tl = TradeList.build(store9_db)
         with pytest.raises(DuplicateTidError):
             tl.add_transaction(store9_db.transactions[0])
+
+    def test_negative_item_ordinal_never_reaches_the_index(self, store9_db):
+        # It would append TID 9 to the last item's tidset.
+        tl = TradeList.build(store9_db)
+        with pytest.raises(MiningError):
+            tl.add_transaction(Transaction(9, (-1, 0)))
+        assert tl == TradeList.build(store9_db)
 
     def test_gap_ordinal_rejected(self, store9_db):
         tl = TradeList.build(store9_db)
