@@ -16,7 +16,6 @@ from .model import (
     ParseError,
     SupportThreshold,
     ThresholdError,
-    Transaction,
     UnknownItemError,
 )
 from .rules import Rule, RuleQuery, format_percent, generate_rules, parse_confidence
@@ -38,7 +37,6 @@ __all__ = [
     "SyntheticSpec",
     "ThresholdError",
     "TradeList",
-    "Transaction",
     "UnknownItemError",
     "format_percent",
     "generate_rules",

@@ -28,7 +28,6 @@ from .model import (
     Itemset,
     MiningError,
     SupportThreshold,
-    Transaction,
     resolve_threshold,
 )
 
@@ -106,7 +105,7 @@ def count_support(db: Database, itemsets: Sequence[Itemset]) -> list[int]:
 
 
 def _row_blocks(
-    transactions: Sequence[Transaction], row_cells: int
+    transactions: Sequence[Itemset], row_cells: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Read ``transactions`` once, a block of rows at a time.
 
@@ -116,7 +115,7 @@ def _row_blocks(
     """
     n_rows = max(1, _BLOCK_CELLS // row_cells)
     for start in range(0, len(transactions), n_rows):
-        rows = [tx.items for tx in transactions[start : start + n_rows]]
+        rows = transactions[start : start + n_rows]
         lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
         items = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=int(lengths.sum()))
         yield lengths, items

@@ -164,8 +164,8 @@ def cmd_update(args: argparse.Namespace) -> int:
     db = _load_database(args)
     tl = TradeList.build(db)
     added = parse_into(db, _read_text(args.update))
-    for tx in added:
-        tl.add_transaction(tx)
+    for row in added:
+        tl.add_transaction(row)
     result = remine(tl, args.threshold)
     rules = generate_rules(result, args.query)
 

@@ -17,9 +17,9 @@ import numpy as np
 from .model import (
     Database,
     DuplicateTidError,
+    Itemset,
     MiningError,
     ParseError,
-    Transaction,
     UnknownItemError,
 )
 
@@ -39,8 +39,8 @@ def parse_database(text: str) -> Database:
     return db
 
 
-def parse_into(db: Database, text: str) -> list[Transaction]:
-    """Append a document's transactions to ``db`` and return the new ones.
+def parse_into(db: Database, text: str) -> list[Itemset]:
+    """Append a document's transactions to ``db`` and return their item tuples.
 
     This is the incremental-update entry point: labels intern into the
     existing dictionaries (new items extend them), and a TID already present
@@ -52,7 +52,7 @@ def parse_into(db: Database, text: str) -> list[Transaction]:
     the ``line N:`` prefix and ``line`` attribute of the offending line.
     """
     n_tx, n_items, n_tids = len(db.transactions), len(db.items), len(db.tids)
-    added: list[Transaction] = []
+    added: list[Itemset] = []
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -81,10 +81,10 @@ def write_database(db: Database) -> str:
     item_label, tid_label = db.items.label_getter(), db.tids.label_getter()
     lines = []
     try:
-        for tx in db.transactions:
-            lines.append(",".join([tid_label(tx.tid), *map(item_label, tx.items)]))
+        for tid, items in enumerate(db.transactions):
+            lines.append(",".join([tid_label(tid), *map(item_label, items)]))
     except IndexError:
-        raise UnknownItemError(f"transaction {tx.tid} has an ordinal its database lacks") from None
+        raise UnknownItemError(f"transaction {tid} has an ordinal its database lacks") from None
     return "".join(line + "\n" for line in lines)
 
 

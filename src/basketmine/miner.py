@@ -42,8 +42,8 @@ class FrequentItemset:
 
 
 # mine and mine_apriori build each FrequentItemset through its slots' own
-# setters, which get past the frozen __setattr__ and the check (as
-# model._sorted_transaction does): their itemsets are canonical.
+# setters, which get past the frozen __setattr__ and the check: their
+# itemsets are canonical.
 _new_object = object.__new__
 _set_itemset = FrequentItemset.__dict__["itemset"].__set__
 _set_support = FrequentItemset.__dict__["support"].__set__

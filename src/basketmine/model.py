@@ -1,5 +1,4 @@
-"""Core domain types: interned items and TIDs, transactions, databases, and
-support thresholds.
+"""Core domain types: interned items and TIDs, databases, and support thresholds.
 
 Item and transaction-id labels are interned to dense ordinals in order of
 first appearance. All mining code works purely on ordinals; labels are
@@ -23,7 +22,6 @@ __all__ = [
     "ParseError",
     "SupportThreshold",
     "ThresholdError",
-    "Transaction",
     "UnknownItemError",
     "resolve_threshold",
 ]
@@ -111,7 +109,8 @@ class Interner:
 
         It indexes the live list, copying nothing. An ordinal past the end
         raises ``IndexError``. A negative one would count from the end, but no
-        record holds one: their constructors reject it (``_check_itemset``).
+        record holds one: their constructors reject it (``_check_itemset``),
+        and a database's rows hold only ordinals it interned.
         """
         return self._labels.__getitem__
 
@@ -127,40 +126,6 @@ def _check_itemset(itemset: Itemset, what: str) -> None:
     ordered = isinstance(itemset, tuple) and all(map(operator.lt, itemset, itemset[1:]))
     if not (ordered and itemset and itemset[0] >= 0):
         raise MiningError(f"{what} {itemset!r} is empty or not strictly increasing ordinals >= 0")
-
-
-@dataclass(frozen=True, slots=True)
-class Transaction:
-    """One purchase record: its TID ordinal plus a strictly increasing item tuple."""
-
-    tid: int
-    items: Itemset
-
-    def __post_init__(self) -> None:
-        if self.tid < 0:
-            raise MiningError(f"transaction ordinal must be >= 0, got {self.tid}")
-        _check_itemset(self.items, f"transaction {self.tid}")
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-
-_new_object = object.__new__
-_set_tid = Transaction.__dict__["tid"].__set__
-_set_items = Transaction.__dict__["items"].__set__
-
-
-def _sorted_transaction(tid: int, items: Itemset) -> Transaction:
-    """A :class:`Transaction` whose items the caller has just sorted and de-duplicated.
-
-    Skips the checks in ``__post_init__``: ``tid`` must be non-negative and
-    ``items`` a non-empty, strictly increasing tuple of non-negative ordinals.
-    The slots' own setters get past the frozen ``__setattr__``.
-    """
-    tx = _new_object(Transaction)
-    _set_tid(tx, tid)
-    _set_items(tx, items)
-    return tx
 
 
 def _check_reserved(labels: Sequence[str]) -> None:
@@ -198,8 +163,11 @@ def _check_row(tid_label: str, item_labels: list[str]) -> None:
 class Database:
     """Ordered transactions plus the item and TID dictionaries (horizontal layout).
 
-    Append-only: transactions are added during parsing or incremental update
-    and never removed or reordered, so ordinals stay dense and stable.
+    A transaction is its item tuple, strictly increasing, and its TID ordinal
+    is its position: ``transactions[t]`` holds the items of the row whose TID
+    label is ``tids.label(t)``. Append-only: transactions are added during
+    parsing or incremental update and never removed or reordered, so
+    ordinals stay dense and stable.
     """
 
     __slots__ = ("items", "tids", "transactions")
@@ -207,22 +175,22 @@ class Database:
     def __init__(self) -> None:
         self.items = Interner()
         self.tids = Interner()
-        self.transactions: list[Transaction] = []
+        self.transactions: list[Itemset] = []
 
     @property
     def n_transactions(self) -> int:
         return len(self.transactions)
 
-    def add_transaction(self, tid_label: str, item_labels: Iterable[str]) -> Transaction:
-        """Intern and append one transaction; duplicate items collapse silently.
+    def add_transaction(self, tid_label: str, item_labels: Iterable[str]) -> Itemset:
+        """Intern and append one transaction, returning its item tuple.
 
-        Labels are trimmed and must be representable in the text format:
-        non-empty, no commas and no line boundary that ``str.splitlines``
-        breaks at, and a TID may not start with the comment marker. Every
-        label is checked before any is interned, so a rejected row leaves the
-        database as it was, and a malformed row raises ``ParseError`` even
-        when its TID is taken. Item labels are scanned for reserved
-        characters only when they are new.
+        Duplicate items collapse silently. Labels are trimmed and must be
+        representable in the text format: non-empty, no commas and no line
+        boundary that ``str.splitlines`` breaks at, and a TID may not start
+        with the comment marker. Every label is checked before any is
+        interned, so a rejected row leaves the database as it was, and a
+        malformed row raises ``ParseError`` even when its TID is taken. Item
+        labels are scanned for reserved characters only when they are new.
         """
         tid_label = tid_label.strip()
         labels = [label.strip() for label in item_labels]
@@ -232,15 +200,14 @@ class Database:
         if None in ordinals:
             _check_reserved(labels)  # the known ones pass; one joined scan is cheapest
         n_tids = len(self.tids)
-        tid = self.tids._intern(tid_label)
-        if tid < n_tids:
+        if self.tids._intern(tid_label) < n_tids:
             raise DuplicateTidError(f"duplicate TID {tid_label!r}")
         if None in ordinals:
             # New labels intern in the row's order, so ordinals follow first appearance.
             ordinals = set(map(self.items._intern, labels))
-        tx = _sorted_transaction(tid, tuple(sorted(ordinals)))
-        self.transactions.append(tx)
-        return tx
+        items = tuple(sorted(ordinals))
+        self.transactions.append(items)
+        return items
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Database):
@@ -258,6 +225,8 @@ class Database:
 def _exact_fraction(value: Fraction | str | float | int, what: str) -> Fraction:
     """``value`` exactly: a string as written, a float (numpy's too) at its shortest repr."""
     try:
+        if isinstance(value, bool):  # an int subclass, but not a fraction
+            raise TypeError("a bool is not a number")
         return Fraction(str(value) if isinstance(value, float) else value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ThresholdError(f"bad {what} {value!r}: {exc}") from None

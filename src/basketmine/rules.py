@@ -53,10 +53,15 @@ class Rule:
     def __post_init__(self) -> None:
         _check_itemset(self.antecedent, "rule antecedent")
         _check_itemset(self.consequent, "rule consequent")
+        if not set(self.antecedent).isdisjoint(self.consequent):
+            raise MiningError(f"rule sides {self.antecedent} and {self.consequent} share an item")
+        if not 0 < self.confidence <= 1:
+            raise MiningError(f"rule confidence must be in (0, 1], got {self.confidence}")
 
 
 # generate_rules builds each Rule through its slots' own setters, which get
-# past the frozen __setattr__ (as model._sorted_transaction does).
+# past the frozen __setattr__ and the checks (as miner.mine does for
+# FrequentItemset): its sides are disjoint and its confidence is in (0, 1].
 _new_object = object.__new__
 _set_antecedent = Rule.__dict__["antecedent"].__set__
 _set_consequent = Rule.__dict__["consequent"].__set__

@@ -2,9 +2,10 @@
 
 Built from one pass over the horizontal database, it answers every support
 question from tidset lengths and from intersections of its items' tidsets,
-which the miner computes by ANDing the bitmaps handed out here. It absorbs
-new transactions by appending ordinals, and keeps a counter of how many
-raw-database scans were ever performed (exactly one: the build).
+which the miner computes by ANDing the bitmaps handed out here. It indexes
+its own database alone: after the build it absorbs that database's new rows
+one at a time, in order, by appending their ordinals. It keeps a counter of
+how many raw-database scans were ever performed (exactly one: the build).
 
 Each item's tidset is handed out as an ``int`` bitmap (bit t is set when
 transaction t contains the item). Bitmaps are cached on first read
@@ -24,13 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import (
-    Database,
-    DuplicateTidError,
-    MiningError,
-    Transaction,
-    UnknownItemError,
-)
+from .model import Database, Itemset, MiningError, UnknownItemError
 
 __all__ = ["TradeList"]
 
@@ -50,9 +45,10 @@ class TradeList:
     """Per-item tidsets over a database's transaction ordinals.
 
     The trade list borrows the owning database's dictionaries for label
-    resolution; transactions added incrementally must be interned through
-    that same database. Reads may be shared freely; updates require exclusive
-    access (no internal locking).
+    resolution, and indexes that database's rows alone, in order: a row is
+    added to the database first and then to the trade list, which rejects
+    any row but the database's next one. Reads may be shared freely; updates
+    require exclusive access (no internal locking).
 
     ``raw_passes`` and ``bitmap_tids`` are instrumentation: the raw-database
     scans made, and the TIDs ever turned into cached bitmap bits.
@@ -85,10 +81,11 @@ class TradeList:
     def build(cls, db: Database) -> "TradeList":
         """Index ``db`` in a single pass over its transactions."""
         tl = cls(db)
-        for tx in db.transactions:  # the one and only raw pass
-            for item in tx.items:
-                tl._tidsets[item].append(tx.tid)
-            tl.n_transactions += 1
+        tidsets = tl._tidsets
+        for tid, items in enumerate(db.transactions):  # the one and only raw pass
+            for item in items:
+                tidsets[item].append(tid)
+        tl.n_transactions = len(db.transactions)
         tl.raw_passes = 1
         return tl
 
@@ -120,19 +117,20 @@ class TradeList:
         self._supports = supports
         return supports.copy()
 
-    def add_transaction(self, tx: Transaction) -> None:
-        """Append one new transaction without touching the raw database.
+    def add_transaction(self, items: Itemset) -> None:
+        """Index the database's next row, ``items``, without rescanning the others.
 
-        ``tx.tid`` must be the next transaction ordinal, i.e. the transaction
-        was interned against this trade list's database after the last add;
-        appending therefore keeps every tidset strictly increasing. Items not
-        seen before extend the index.
+        ``items`` must equal the row the database holds at ordinal
+        ``n_transactions``, the first one not yet indexed: the tuple
+        :meth:`Database.add_transaction` returned. Any other row raises
+        ``MiningError``, so the index always equals a fresh build of the rows
+        it has absorbed, and every tidset stays strictly increasing. Items
+        not seen before extend the index.
         """
-        tid, items, n = tx.tid, tx.items, self.n_transactions
-        if tid < n:
-            raise DuplicateTidError(f"transaction ordinal {tid} is already indexed")
-        if tid != n:
-            raise MiningError(f"non-contiguous transaction ordinal {tid}, expected {n}")
+        tid, rows = self.n_transactions, self._db.transactions
+        if tid >= len(rows) or rows[tid] != items:
+            raise MiningError(f"row {items!r} is not the database's row {tid}, the next to index")
+        items = rows[tid]  # equal, and the database's own ints
         tidsets = self._tidsets
         grow = items[-1] + 1 - len(tidsets)  # items are increasing: the last is the largest
         if grow > 0:
@@ -140,7 +138,7 @@ class TradeList:
         for item in items:
             tidsets[item].append(tid)
         self._pending += items
-        self.n_transactions = n + 1
+        self.n_transactions = tid + 1
 
     def _tids(self, item: int) -> list[int]:
         if not 0 <= item < len(self._tidsets):

@@ -17,20 +17,25 @@ from basketmine.rules import Rule
 def db_from_rows(rows):
     """Database from rows of item indices; row t becomes TID ``T{t+1}``."""
     db = Database()
-    for t, row in enumerate(rows):
-        db.add_transaction(f"T{t + 1}", [f"I{i}" for i in row])
+    for row in rows:
+        add_row(db, row)
     return db
+
+
+def add_row(db, row):
+    """Append a row of item indices as ``db_from_rows`` does; return its item tuple."""
+    return db.add_transaction(f"T{db.n_transactions + 1}", [f"I{i}" for i in row])
 
 
 def brute_tidset(db, itemset):
     """Transaction ordinals containing every item, by scanning each row."""
     wanted = set(itemset)
-    return [tx.tid for tx in db.transactions if wanted <= set(tx.items)]
+    return [tid for tid, items in enumerate(db.transactions) if wanted <= set(items)]
 
 
 def brute_support_map(db):
     """Support of every non-empty subset of the item universe, by scanning."""
-    tx_sets = [set(tx.items) for tx in db.transactions]
+    tx_sets = [set(items) for items in db.transactions]
     out = {}
     for size in range(1, len(db.items) + 1):
         for combo in combinations(range(len(db.items)), size):

@@ -17,7 +17,7 @@ from basketmine.rules import RuleQuery, confidence, format_percent, generate_rul
 from basketmine.tradelist import TradeList
 
 from conftest import DATA, GOLDEN
-from oracles import brute_support_map, brute_tidset, db_from_rows, random_rows
+from oracles import add_row, brute_support_map, brute_tidset, db_from_rows, random_rows
 
 SEED = 0x5EED
 
@@ -148,8 +148,8 @@ def test_criterion_6_incremental_equivalence():
             full = db_from_rows(rows)
             prefix = db_from_rows(rows[:cut])
             incremental = TradeList.build(prefix)
-            for tx in full.transactions[cut:]:
-                incremental.add_transaction(tx)
+            for row in rows[cut:]:
+                incremental.add_transaction(add_row(prefix, row))
             scratch = TradeList.build(full)
             assert incremental == scratch
             assert mine(incremental, minsupp).levels == mine(scratch, minsupp).levels

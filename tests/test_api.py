@@ -16,8 +16,11 @@ import pytest
 
 import basketmine
 from basketmine import cli
+from basketmine.miner import mine
 from basketmine.model import Database, Interner
 from basketmine.tradelist import TradeList
+
+from conftest import DATA
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -25,7 +28,7 @@ PERFBENCH = ROOT / "perfbench"
 PUBLIC = {
     "Database", "DuplicateTidError", "FrequentItemset", "MineResult", "MineStats",
     "MiningError", "ParseError", "Rule", "RuleQuery", "SupportThreshold",
-    "SyntheticSpec", "ThresholdError", "TradeList", "Transaction", "UnknownItemError",
+    "SyntheticSpec", "ThresholdError", "TradeList", "UnknownItemError",
     "format_percent", "generate_rules", "generate_synthetic", "mine", "mine_apriori",
     "parse_confidence", "parse_database", "parse_into", "remine", "write_database",
 }
@@ -96,6 +99,17 @@ def test_readme_imports_only_the_supported_api():
     assert lines, "README shows no library import"
     for _, name in basketmine_imports("\n".join(lines)):
         assert name in basketmine.__all__, name
+
+
+def test_readme_library_snippet_runs(tmp_path, monkeypatch, store10_db):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    (snippet,) = re.findall(r"^## Library use\n.*?^```python\n(.*?)^```$", text, re.M | re.S)
+    (tmp_path / "store.txt").write_text((DATA / "store9.txt").read_text())
+    monkeypatch.chdir(tmp_path)
+    names = {}
+    exec(snippet, names)
+    assert names["db"] == store10_db
+    assert names["result"].levels == mine(TradeList.build(store10_db), 3).levels
 
 
 @pytest.mark.parametrize("name", ["run.py", "test_oracle.py", "spans.py"])

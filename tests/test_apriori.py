@@ -115,7 +115,7 @@ class TestCountSupport:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(apriori, "_BLOCK_CELLS", cells)
             counts = count_support(db, itemsets)
-        direct = [sum(set(c) <= set(tx.items) for tx in db.transactions) for c in itemsets]
+        direct = [sum(set(c) <= set(items) for items in db.transactions) for c in itemsets]
         assert counts == direct
 
 
@@ -230,5 +230,5 @@ def test_candidate_counts_match_brute_subsets(store9_db):
     cands = generate_candidates(l1)
     for itemset, count in zip(cands, count_support(store9_db, cands)):
         wanted = set(itemset)
-        direct = sum(1 for tx in store9_db.transactions if wanted <= set(tx.items))
+        direct = sum(1 for items in store9_db.transactions if wanted <= set(items))
         assert count == direct

@@ -572,6 +572,19 @@ class TestLogRendering:
         with pytest.raises(MiningError):
             Rule(antecedent, consequent, 2, Fraction(1, 2))
 
+    # ((0,), (0,)) rendered as "I1->I1 = 50%".
+    @pytest.mark.parametrize("antecedent,consequent", [((0,), (0,)), ((0, 1), (1, 2))])
+    def test_rule_whose_sides_share_an_item_is_not_built(self, antecedent, consequent):
+        with pytest.raises(MiningError):
+            Rule(antecedent, consequent, 2, Fraction(1, 2))
+
+    # Fraction(3, 2) rendered as "I1->I2 = 150%".
+    @pytest.mark.parametrize("confidence", [Fraction(3, 2), Fraction(0), Fraction(-1, 2)])
+    def test_rule_with_a_confidence_outside_0_1_is_not_built(self, confidence):
+        with pytest.raises(MiningError):
+            Rule((0,), (1,), 2, confidence)
+        assert Rule((0,), (1,), 2, Fraction(1)).confidence == 1
+
 
 def test_logs_are_reproducible(tmp_path, capsys):
     a, b = tmp_path / "a.log", tmp_path / "b.log"

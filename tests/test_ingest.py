@@ -19,7 +19,6 @@ from basketmine.model import (
     DuplicateTidError,
     MiningError,
     ParseError,
-    Transaction,
     UnknownItemError,
 )
 from basketmine.tradelist import TradeList
@@ -32,14 +31,14 @@ class TestParse:
         db = parse_database("T100,I1,I2,I5\nT200,I2,I4\n")
         assert db.n_transactions == 2
         assert len(db.items) == 4
-        assert db.transactions[0].items == (0, 1, 2)
+        assert db.transactions[0] == (0, 1, 2)
 
     def test_empty_document(self):
         assert parse_database("").n_transactions == 0
 
     def test_duplicate_items_collapse(self):
         db = parse_database("T1,A,A,B\n")
-        assert db.transactions[0].items == (0, 1)
+        assert db.transactions[0] == (0, 1)
 
     def test_blank_lines_and_comments_skipped(self):
         db = parse_database("# header\n\nT1,A\n   \n# tail\nT2,B\n")
@@ -66,7 +65,7 @@ class TestParse:
     def test_parse_into_extends_existing(self):
         db = parse_database("T1,A\n")
         added = parse_into(db, "T2,B,C\n")
-        assert [tx.tid for tx in added] == [1]
+        assert added == db.transactions[1:] == [(1, 2)]
         assert db.n_transactions == 2
         assert db.items.labels() == ("A", "B", "C")
 
@@ -194,19 +193,20 @@ class TestWrite:
     def test_round_trip_store9(self, store9_db):
         assert parse_database(write_database(store9_db)) == store9_db
 
-    # A negative ordinal is rejected when its Transaction is built (see
-    # test_model.TestTransaction). The ids keep the numbering the cases had
-    # when the list also held the two negative ones.
+    # No row holds a negative ordinal: Database.add_transaction interns
+    # every one. The ids keep the numbering the cases had when the list also
+    # held the two negative ones.
     @pytest.mark.parametrize(
         "tid,items",
         [(1, (0, 2)), (1, (0, 1, 5)), (2, (0,))],
         ids=["1-items0", "1-items2", "2-items3"],
     )
     def test_ordinal_outside_the_dictionaries_raises(self, tid, items):
-        # Two items and two TIDs; the row is appended by hand, bypassing interning.
+        # Two items and two TIDs. Rows are appended by hand, bypassing
+        # interning, until ``items`` is the row at position ``tid``.
         db = parse_database("T1,a,b\n")
         db.tids._intern("T2")
-        db.transactions.append(Transaction(tid, items))
+        db.transactions += [items] * tid
         with pytest.raises(UnknownItemError):
             write_database(db)
 
@@ -291,16 +291,16 @@ class TestSynthetic:
 
     def test_full_length_rows_hold_every_item(self):
         db = generate_synthetic(SyntheticSpec(200, 8, 8.0, seed=5))
-        full = [tx for tx in db.transactions if len(tx) == 8]
+        full = [row for row in db.transactions if len(row) == 8]
         assert full
-        assert all(tx.items == tuple(range(8)) for tx in full)
+        assert all(row == tuple(range(8)) for row in full)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rows_as_long_as_the_item_set_finish(self, seed):
         db = generate_synthetic(SyntheticSpec(20, 500, 500.0, seed))
         assert db.n_transactions == 20
-        assert all(400 <= len(tx) <= 500 for tx in db.transactions)
-        assert all(tx.items == tuple(range(500)) for tx in db.transactions if len(tx) == 500)
+        assert all(400 <= len(row) <= 500 for row in db.transactions)
+        assert all(row == tuple(range(500)) for row in db.transactions if len(row) == 500)
 
     @pytest.mark.parametrize(
         "spec",

@@ -1,4 +1,3 @@
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basketmine.ingest import parse_database, write_database
+from basketmine.miner import FrequentItemset
 from basketmine.model import (
     Database,
     DuplicateTidError,
@@ -14,7 +14,6 @@ from basketmine.model import (
     ParseError,
     SupportThreshold,
     ThresholdError,
-    Transaction,
     UnknownItemError,
     resolve_threshold,
 )
@@ -25,7 +24,7 @@ from oracles import db_from_rows, db_rows
 
 #: Values that read exactly as 7/100, and values that are no fraction in (0, 1].
 FRACTION_LIKE_7_100 = [0.07, "0.07", "7/100", Fraction(7, 100), np.float64(0.07)]
-BAD_FRACTIONS = ["half", "1/0", object(), [1], float("nan"), "0", 1.5]
+BAD_FRACTIONS = ["half", "1/0", object(), [1], float("nan"), "0", 1.5, True, False]
 
 #: The field separator and every line boundary ``str.splitlines`` breaks at.
 RESERVED = ",\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -38,7 +37,7 @@ labels = st.text(st.characters(exclude_characters=RESERVED), min_size=1).filter(
 
 def intern(db: Database, label: str) -> int:
     """Intern one item label the way the package does, in a row of its own; its ordinal."""
-    (ordinal,) = db.add_transaction(f"T{db.n_transactions}", [label]).items
+    (ordinal,) = db.add_transaction(f"T{db.n_transactions}", [label])
     return ordinal
 
 
@@ -104,44 +103,37 @@ class TestInterner:
             assert interner.ordinal(interner.label(ordinal)) == ordinal
 
 
-class TestTransaction:
+class TestFrequentItemset:
+    """``_check_itemset``, through the record that holds one itemset."""
+
     def test_rejects_empty(self):
         with pytest.raises(MiningError):
-            Transaction(0, ())
+            FrequentItemset((), 1)
 
     # (-1, 0) increases, but a label list would count -1 from the end.
-    @pytest.mark.parametrize("items", [(2, 1), (1, 1), (0, 2, 2), (-1, 0)])
-    def test_rejects_non_increasing(self, items):
+    @pytest.mark.parametrize("itemset", [(2, 1), (1, 1), (0, 2, 2), (-1, 0)])
+    def test_rejects_non_increasing(self, itemset):
         with pytest.raises(MiningError):
-            Transaction(0, items)
-
-    def test_rejects_a_negative_tid(self):
-        with pytest.raises(MiningError):
-            Transaction(-1, (0,))
+            FrequentItemset(itemset, 1)
 
     def test_rejects_items_that_are_not_a_tuple(self):
         with pytest.raises(MiningError):
-            Transaction(0, [0, 1])
-
-    def test_len(self):
-        assert len(Transaction(0, (1, 4, 7))) == 3
+            FrequentItemset([0, 1], 1)
 
 
 class TestDatabase:
     def test_add_deduplicates_items(self):
         db = Database()
-        tx = db.add_transaction("T1", ["A", "A", "B"])
-        assert tx.items == (0, 1)
+        assert db.add_transaction("T1", ["A", "A", "B"]) == (0, 1)
 
     def test_added_row_is_a_frozen_transaction(self):
         db = Database()
         db.add_transaction("T1", ["A", "B"])
-        tx = db.add_transaction("T2", ["B", "C", "A", "B"])
-        assert tx == Transaction(1, (0, 1, 2))
-        assert hash(tx) == hash(Transaction(1, (0, 1, 2)))
-        assert not hasattr(tx, "__dict__")
-        with pytest.raises(FrozenInstanceError):
-            tx.items = (0,)
+        row = db.add_transaction("T2", ["B", "C", "A", "B"])
+        # The row is its item tuple, and its TID ordinal is its position.
+        assert type(row) is tuple and row == (0, 1, 2)
+        assert db.transactions[1] is row
+        assert db.tids.label(1) == "T2"
 
     def test_duplicate_tid_names_the_tid(self):
         db = Database()

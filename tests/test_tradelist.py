@@ -6,16 +6,10 @@ from hypothesis import strategies as st
 
 from basketmine.ingest import parse_database, parse_into
 from basketmine.miner import mine
-from basketmine.model import (
-    Database,
-    DuplicateTidError,
-    MiningError,
-    Transaction,
-    UnknownItemError,
-)
+from basketmine.model import Database, MiningError, UnknownItemError
 from basketmine.tradelist import TradeList
 
-from oracles import brute_tidset, db_from_rows, db_rows, read_tradelist_log
+from oracles import add_row, brute_tidset, db_from_rows, db_rows, read_tradelist_log
 
 
 def tid_labels(db, tidset):
@@ -114,15 +108,29 @@ class TestAddTransaction:
 
     def test_duplicate_ordinal_rejected(self, store9_db):
         tl = TradeList.build(store9_db)
-        with pytest.raises(DuplicateTidError):
+        with pytest.raises(MiningError):
             tl.add_transaction(store9_db.transactions[0])
+        assert tl == TradeList.build(store9_db)
 
     def test_negative_item_ordinal_never_reaches_the_index(self, store9_db):
         # It would append TID 9 to the last item's tidset.
         tl = TradeList.build(store9_db)
         with pytest.raises(MiningError):
-            tl.add_transaction(Transaction(9, (-1, 0)))
+            tl.add_transaction((-1, 0))
         assert tl == TradeList.build(store9_db)
+
+    def test_row_the_database_does_not_hold_next_is_rejected(self, store9_db, store10_db):
+        # Accepting (0, 1) as row 9 listed a later T910 = {I4} under I1 and I2.
+        tl = TradeList.build(store9_db)
+        with pytest.raises(MiningError):
+            tl.add_transaction((0, 1))
+        row = store9_db.add_transaction("T910", ["I4"])
+        with pytest.raises(MiningError):
+            tl.add_transaction(store10_db.transactions[9])  # T910 = {I1, I4} there
+        tl.add_transaction(row)
+        assert tl == TradeList.build(store9_db)
+        listed = read_tradelist_log(tl.serialize_log())
+        assert [item for item, tids in listed.items() if "T910" in tids] == ["I4"]
 
     def test_gap_ordinal_rejected(self, store9_db):
         tl = TradeList.build(store9_db)
@@ -139,8 +147,8 @@ class TestAddTransaction:
         full = db_from_rows(rows)
         prefix = db_from_rows(rows[:cut])
         tl = TradeList.build(prefix)
-        for tx in full.transactions[cut:]:
-            tl.add_transaction(tx)
+        for row in rows[cut:]:
+            tl.add_transaction(add_row(prefix, row))
         assert tl == TradeList.build(full)
 
 
@@ -267,8 +275,8 @@ class TestSupports:
                 supports = tl.supports()
                 assert supports.tolist() == [len(tl.tidset(i)) for i in range(tl.n_items)]
                 supports[:] = -1  # the next read must not see this
-            for tx in full.transactions[lo:hi]:
-                tl.add_transaction(tx)
+            for row in rows[lo:hi]:
+                tl.add_transaction(add_row(db, row))
         assert tl.supports().tolist() == [len(tl.tidset(i)) for i in range(tl.n_items)]
         assert tl == TradeList.build(full)
 
@@ -327,8 +335,8 @@ class TestBitmap:
                 assert tl.bitmap(item) == fresh_bitmap(tl, item)
                 assert tl.bitmap_tids - before == len(tl.tidset(item)) - covered.get(item, 0)
                 covered[item] = len(tl.tidset(item))
-            for tx in full.transactions[lo:hi]:
-                tl.add_transaction(tx)
+            for row in rows[lo:hi]:
+                tl.add_transaction(add_row(db, row))
         assert [tl.bitmap(i) for i in range(tl.n_items)] == [
             fresh_bitmap(tl, i) for i in range(tl.n_items)
         ]
