@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 from statistics import median
 from typing import Callable, NoReturn, TypeVar
@@ -57,11 +58,19 @@ def format_rules_log(rules: list[Rule], db: Database) -> str:
     """Rows ``X->Y = <pct>`` with comma-joined labels in canonical order."""
     label = db.items.label_getter()
     lines = []
+    # Rules share confidence objects, so each object is rendered once. The
+    # value keeps the object alive, so no other object can take its id.
+    percent: dict[int, tuple[Fraction, str]] = {}
     try:
         for rule in rules:
             lhs = ",".join(map(label, rule.antecedent))
             rhs = ",".join(map(label, rule.consequent))
-            lines.append(f"{lhs}->{rhs} = {format_percent(rule.confidence)}\n")
+            confidence = rule.confidence
+            key = id(confidence)
+            rendered = percent.get(key)
+            if rendered is None:
+                rendered = percent[key] = (confidence, format_percent(confidence))
+            lines.append(f"{lhs}->{rhs} = {rendered[1]}\n")
     except IndexError:
         _unknown(rule)
     return "".join(lines)

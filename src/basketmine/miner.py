@@ -1,18 +1,24 @@
-"""Depth-first frequent-itemset mining over bitmap tidsets.
+"""Frequent-itemset mining over bitmap tidsets.
 
 Frequent single items are picked and ordered by ascending support in one
-vectorized pass over the trade list's item supports; each prefix is then
-extended only with items later in that order. Each frequent item's tidset
-comes from the trade list as a Python ``int`` bitmap (bit t is set when
-transaction t contains the item), so a candidate costs one ``prefix & item``
-and one ``bit_count()``; ``stats.intersections`` counts exactly those, one
-per candidate. The trade list caches those bitmaps across calls and extends
-them by the TIDs appended since the last read, so a re-mine after a batch of
-appends converts only the batch (``stats.bitmap_tids``). Any extension below
-the threshold is pruned together with its whole subtree. No candidate lists
-are materialized and the raw transaction database is never touched:
-everything runs off the trade-list index, which is why ``stats.raw_passes``
-is always 0 here.
+vectorized pass over the trade list's item supports; each frequent itemset
+is then extended only with items later in that order, and an extension below
+the threshold is never extended further. Each frequent item's tidset comes
+from the trade list as a Python ``int`` bitmap (bit t is set when
+transaction t contains the item), so a candidate costs one AND and one
+popcount; ``stats.intersections`` counts exactly those, one per candidate.
+The trade list caches those bitmaps across calls and extends them by the
+TIDs appended since the last read, so a re-mine after a batch of appends
+converts only the batch (``stats.bitmap_tids``).
+
+Two growers test the same candidates. With few frequent items, a depth-first
+search ANDs one ``int`` prefix with one item at a time. With many, a
+level-wise pass copies the bitmaps into a ``uint64`` numpy matrix once and
+counts all of a level's candidates with a few array operations, a bounded
+block of them at a time; the frequent ones' ANDed rows seed the next level.
+``LEVELWISE_MIN_PAIRS`` picks between them. The raw transaction database is
+never touched: everything runs off the trade-list index, which is why
+``stats.raw_passes`` is always 0 here.
 """
 
 from __future__ import annotations
@@ -114,6 +120,17 @@ class MineResult:
         return {fi.itemset: fi.support for fi in self}
 
 
+#: ``mine`` counts each level's candidates in one numpy pass once the frequent
+#: items make at least this many pairs, and extends one candidate at a time
+#: depth-first below it, where each numpy call's fixed cost outweighs the
+#: work it batches (the crossover, measured in the ROADMAP).
+LEVELWISE_MIN_PAIRS = 250
+
+#: The level-wise pass ANDs at most this many 64-bit words of candidate rows
+#: at once (256 KiB), so its scratch memory does not grow with the level.
+_BLOCK_WORDS = 1 << 15
+
+
 def mine(tl: TradeList, threshold: SupportThreshold | int) -> MineResult:
     """Mine every itemset whose tidset meets the threshold.
 
@@ -125,12 +142,39 @@ def mine(tl: TradeList, threshold: SupportThreshold | int) -> MineResult:
     minsupp = resolve_threshold(threshold, tl.n_transactions)
     supports = tl.supports()
     frequent = np.flatnonzero(supports >= minsupp)
+    levels: list[list[FrequentItemset]] = []
+    if len(frequent):
+        singles = zip(((i,) for i in frequent.tolist()), supports[frequent].tolist())
+        levels.append(list(starmap(_frequent_itemset, singles)))
     # Stable, so equal supports keep ascending item order.
-    frequent = frequent[np.argsort(supports[frequent], kind="stable")]
-    order = frequent.tolist()
-    found: list[tuple[Itemset, int]] = [
-        ((i,), support) for i, support in zip(order, supports[frequent].tolist())
-    ]
+    order = frequent[np.argsort(supports[frequent], kind="stable")].tolist()
+    n_intersections = 0
+    tids_before = tl.bitmap_tids
+    if len(order) > 1:
+        bitmaps = [tl.bitmap(i) for i in order]
+        pairs = len(order) * (len(order) - 1) // 2
+        grow = _levelwise if pairs >= LEVELWISE_MIN_PAIRS else _depth_first
+        deeper, n_intersections = grow(order, bitmaps, minsupp)
+        levels += deeper
+    stats = MineStats(
+        raw_passes=0,
+        intersections=n_intersections,
+        bitmap_tids=tl.bitmap_tids - tids_before,
+        elapsed_s=time.perf_counter() - start,
+    )
+    return MineResult(levels, stats)
+
+
+# Both growers take the frequent items in ascending-support order with their
+# bitmaps, and extend every frequent itemset with each item after its last
+# one in that order: they test the same candidates, one intersection each,
+# and return the levels from 2 up in canonical order with that count.
+
+def _depth_first(
+    order: list[int], bitmaps: list[int], minsupp: int
+) -> tuple[list[list[FrequentItemset]], int]:
+    """Extend one prefix at a time, pruning an infrequent one's whole subtree."""
+    found: list[tuple[Itemset, int]] = []
     n_intersections = 0
 
     def extend(prefix: Itemset, prefix_bits: int, rest: list[tuple[int, int]]) -> None:
@@ -144,11 +188,9 @@ def mine(tl: TradeList, threshold: SupportThreshold | int) -> MineResult:
                 found.append((grown, support))
                 extend(grown, common, rest[q + 1 :])
 
-    tids_before = tl.bitmap_tids
-    if len(order) > 1:
-        entries = [(i, tl.bitmap(i)) for i in order]
-        for p, (item, bits) in enumerate(entries):
-            extend((item,), bits, entries[p + 1 :])
+    entries = list(zip(order, bitmaps))
+    for p, (item, bits) in enumerate(entries):
+        extend((item,), bits, entries[p + 1 :])
 
     by_level: dict[int, list[tuple[Itemset, int]]] = {}
     for itemset, support in found:
@@ -157,13 +199,60 @@ def mine(tl: TradeList, threshold: SupportThreshold | int) -> MineResult:
     levels = [
         list(starmap(_frequent_itemset, sorted(by_level[k]))) for k in sorted(by_level)
     ]
-    stats = MineStats(
-        raw_passes=0,
-        intersections=n_intersections,
-        bitmap_tids=tl.bitmap_tids - tids_before,
-        elapsed_s=time.perf_counter() - start,
-    )
-    return MineResult(levels, stats)
+    return levels, n_intersections
+
+
+def _levelwise(
+    order: list[int], bitmaps: list[int], minsupp: int
+) -> tuple[list[list[FrequentItemset]], int]:
+    """Count a whole level's candidates at once on a ``uint64`` bitmap matrix.
+
+    Row i of the item matrix is ``bitmaps[i]``; a level's frequent itemsets
+    keep their own ANDed rows, which the next level's candidates AND with an
+    item row and count with a popcount, a block of candidates at a time.
+    """
+    m = len(order)
+    n_bytes = 8 * ((max(bits.bit_length() for bits in bitmaps) + 63) // 64)
+    matrix = b"".join(bits.to_bytes(n_bytes, "little") for bits in bitmaps)
+    items = np.frombuffer(matrix, dtype="<u8").reshape(m, -1)
+    block = max(1, _BLOCK_WORDS // items.shape[1])
+    item_of = np.array(order, dtype=np.intp)
+    # The current level: each itemset's ANDed row, the position in ``order``
+    # of its last item, and the positions of all its items.
+    rows, last = items, np.arange(m)
+    paths = last[:, None]
+    levels: list[list[FrequentItemset]] = []
+    n_intersections = 0
+    while True:
+        # Candidate c extends itemset parent[c] with the item at position
+        # at[c]: each itemset's candidates run from its last position + 1 to m - 1.
+        counts = m - 1 - last
+        parent = np.repeat(np.arange(len(last)), counts)
+        at = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts - last - 1, counts)
+        n_intersections += len(parent)
+        found = []
+        for lo in range(0, len(parent), block):
+            common = rows[parent[lo : lo + block]]
+            common &= items[at[lo : lo + block]]
+            support = np.bitwise_count(common).sum(axis=1)
+            hit = np.flatnonzero(support >= minsupp)
+            found.append((common[hit], hit + lo, support[hit]))
+        if not sum(len(hit) for _, hit, _ in found):
+            break
+        # Each level's arrays are let go as soon as they are used, since the
+        # next level's can be as large: the last rows before the survivors'
+        # are joined, and the rest before the next candidates are made.
+        del rows
+        rows, kept, supports = map(np.concatenate, zip(*found))
+        del found
+        last = at[kept]
+        paths = np.concatenate((paths[parent[kept]], last[:, None]), axis=1)
+        itemsets = np.sort(item_of[paths], axis=1)
+        rank = np.lexsort(itemsets.T[::-1])
+        level = zip(map(tuple, itemsets[rank].tolist()), supports[rank].tolist())
+        levels.append(list(starmap(_frequent_itemset, level)))
+        del parent, at, kept, itemsets, rank
+    return levels, n_intersections
 
 
 #: Mine again at a changed threshold: the same function as :func:`mine`,

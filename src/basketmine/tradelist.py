@@ -15,8 +15,9 @@ current tidset. A later read ORs in a bitmap of only the TIDs appended since,
 so re-mining after a batch costs the batch, not the whole history. Appending
 leaves the cache alone; reads fill it, and replace an item's entry whole, so
 shared reads stay safe. The array of every item's support is kept the same
-way: appending only queues the transaction's items, and the next read counts
-them in.
+way: appending queues the transaction's items and the next read counts them
+in, until the queue would reach half the items; then the array is dropped and
+the next read recounts every tidset.
 """
 
 from __future__ import annotations
@@ -70,7 +71,8 @@ class TradeList:
         self._tidsets: list[list[int]] = [[] for _ in range(len(db.items))]
         self._bitmaps: dict[int, int] = {}
         # Every item's support as of the last supports() read (None: never
-        # read), and the items of every transaction appended since, in one list.
+        # read, or dropped), and the items of every transaction appended since
+        # while it is kept, in one list.
         self._supports: np.ndarray | None = None
         self._pending: list[int] = []
         self.n_transactions = 0
@@ -97,15 +99,14 @@ class TradeList:
         """Every item's support (its tidset's length), indexed by item ordinal.
 
         A fresh array each call. The one kept since the last call absorbs only
-        the entries appended since, unless they come to half the items or
-        more: then reading every tidset's length again is as cheap, since
-        each entry costs about as much to count in as an item's length does
-        to read, and counting in pays a fixed cost of its own.
+        the entries appended since; once those would come to half the items,
+        appending drops the kept array and this reads every tidset's length
+        again.
         """
         tidsets, pending, kept = self._tidsets, self._pending, self._supports
         n_items = len(tidsets)
         n_pending = len(pending)
-        if kept is None or 2 * n_pending >= n_items:
+        if kept is None:
             supports = np.fromiter(map(len, tidsets), dtype=np.intp, count=n_items)
         elif n_pending:
             appended = np.fromiter(pending, dtype=np.intp, count=n_pending)
@@ -137,7 +138,15 @@ class TradeList:
             tidsets.extend([] for _ in range(grow))
         for item in items:
             tidsets[item].append(tid)
-        self._pending += items
+        if self._supports is not None:
+            # Counting in as many entries as half the items is no cheaper
+            # than reading every length again: each entry costs about as much
+            # to count in as a length does to read, plus a fixed cost.
+            pending = self._pending
+            pending += items
+            if 2 * len(pending) >= len(tidsets):
+                self._supports = None
+                pending.clear()
         self.n_transactions = tid + 1
 
     def _tids(self, item: int) -> list[int]:

@@ -558,6 +558,33 @@ class TestLogRendering:
         with pytest.raises(UnknownItemError):
             format_rules_log([rule], store9_db)
 
+    def test_rules_log_renders_shared_and_equal_confidences(self, store9_db):
+        shared, equal = Fraction(2, 3), Fraction(4, 6)
+        assert shared == equal and shared is not equal
+        rules = [
+            Rule((0,), (1,), 2, shared),
+            Rule((1,), (2,), 2, Fraction(5, 8)),
+            Rule((0,), (2,), 2, shared),
+            Rule((2,), (0,), 2, equal),
+            Rule((1,), (0,), 2, Fraction(7, 9)),
+            Rule((2,), (1,), 2, Fraction(1)),
+        ]
+        assert format_rules_log(rules, store9_db) == (
+            "I1->I2 = 66.67%\n"
+            "I2->I5 = 62.5%\n"
+            "I1->I5 = 66.67%\n"
+            "I5->I1 = 66.67%\n"
+            "I2->I1 = 77.78%\n"
+            "I5->I2 = 100%\n"
+        )
+
+    def test_rules_log_renders_confidences_freed_as_it_goes(self, store9_db):
+        # Each rule and its confidence are dropped once rendered, so a later
+        # confidence may be built where an earlier one was.
+        rules = (Rule((0,), (1,), 2, Fraction(k, 10)) for k in range(1, 11))
+        expected = "".join(f"I1->I2 = {k * 10}%\n" for k in range(1, 11))
+        assert format_rules_log(rules, store9_db) == expected
+
     # (0, -1) rendered as "1-I1, I3" when only the least ordinal was checked.
     @pytest.mark.parametrize("itemset", [(-1,), (-1, 0), (0, -1)])
     def test_frequent_itemset_with_a_negative_ordinal_is_not_built(self, itemset):

@@ -1,10 +1,13 @@
 import random
+from itertools import count
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from basketmine.ingest import parse_into
+from basketmine import miner
+from basketmine.apriori import mine_apriori
+from basketmine.ingest import SyntheticSpec, generate_synthetic, parse_into
 from basketmine.miner import mine, remine
 from basketmine.model import Database, SupportThreshold, ThresholdError
 from basketmine.tradelist import TradeList
@@ -161,14 +164,80 @@ class TestProperties:
             assert all(list(s) == sorted(set(s)) for s in itemsets)
 
 
-def wide_rows(n_tx, n_items, lead, seed):
-    """``n_tx`` random rows; items ``n_items // 2`` and up are absent before row ``lead``."""
+#: The fewest frequent items that make the level-wise kernel's pair count.
+LEVELWISE_MIN_ITEMS = next(m for m in count(2) if m * (m - 1) // 2 >= miner.LEVELWISE_MIN_PAIRS)
+
+
+def grow_both(tl, minsupp):
+    """``_depth_first`` and ``_levelwise`` called directly, on what ``mine`` feeds them."""
+    singles = sorted(mine(tl, minsupp).level(1), key=lambda fi: fi.support)  # stable
+    order = [fi.itemset[0] for fi in singles]
+    bitmaps = [tl.bitmap(i) for i in order]
+    return miner._depth_first(order, bitmaps, minsupp), miner._levelwise(order, bitmaps, minsupp)
+
+
+def nth_support(tl, n):
+    """The n-th largest item support: at least n items reach it."""
+    return sorted(tl.supports().tolist(), reverse=True)[n - 1]
+
+
+class TestLevelwise:
+    """The level-wise kernel tests the depth-first search's candidates and finds its itemsets."""
+
+    @pytest.mark.parametrize(
+        "spec,minsupp,m,levelwise",
+        [
+            ((400, 12, 4, 2), 8, 12, False),  # 66 pairs
+            ((500, 20, 5, 9), 10, 20, False),  # 190 pairs
+            ((500, 25, 5, 9), 10, 25, True),  # 300 pairs
+            ((600, 40, 5, 4), 20, 38, True),  # 703 pairs
+        ],
+    )
+    def test_mine_equals_apriori_and_both_growers(self, spec, minsupp, m, levelwise):
+        db = generate_synthetic(SyntheticSpec(*spec))
+        tl = TradeList.build(db)
+        result = mine(tl, minsupp)
+        assert len(result.level(1)) == m
+        assert (m >= LEVELWISE_MIN_ITEMS) is levelwise
+        assert result.levels == mine_apriori(db, minsupp).levels
+        (dfs, dfs_ops), (lw, lw_ops) = grow_both(tl, minsupp)
+        assert dfs == lw == result.levels[1:]
+        assert dfs_ops == lw_ops == result.stats.intersections
+
+    def test_counters_pinned_above_the_crossover(self):
+        # Recorded with the depth-first search alone.
+        tl = TradeList.build(generate_synthetic(SyntheticSpec(2000, 30, 6, 5)))
+        result = mine(tl, SupportThreshold.fractional("0.02"))
+        assert len(result.level(1)) >= LEVELWISE_MIN_ITEMS
+        assert [len(level) for level in result.levels] == [30, 236, 405, 243, 43, 1]
+        assert result.n_itemsets == 958
+        assert result.stats.intersections == 1874
+        assert result.stats.bitmap_tids == 11959
+
+    def test_level_larger_than_one_block(self):
+        tl = TradeList.build(generate_synthetic(SyntheticSpec(20000, 24, 4, 1)))
+        result = mine(tl, 200)
+        assert len(result.level(1)) >= LEVELWISE_MIN_ITEMS
+        words = (tl.n_transactions + 63) // 64
+        m = len(result.level(1))
+        assert m * (m - 1) // 2 > miner._BLOCK_WORDS // words  # level 2 spans blocks
+        (dfs, dfs_ops), (lw, lw_ops) = grow_both(tl, 200)
+        assert dfs == lw == result.levels[1:]
+        assert dfs_ops == lw_ops == result.stats.intersections == 1263
+        assert [len(level) for level in result.levels] == [24, 186, 259, 110, 10]
+
+
+def wide_rows(n_tx, n_items, lead, seed, skew=0):
+    """``n_tx`` random rows; items ``n_items // 2`` and up are absent before row ``lead``.
+
+    Item x is drawn with probability ``0.4 / (x + 1) ** skew``.
+    """
     rng = random.Random(seed)
     late = n_items // 2
     rows = []
     for t in range(n_tx):
         pool = range(n_items) if t >= lead else range(max(late, 1))
-        row = sorted(x for x in pool if rng.random() < 0.4)
+        row = sorted(x for x in pool if rng.random() < 0.4 / (x + 1) ** skew)
         rows.append(row or [rng.randrange(len(pool))])
     return rows
 
@@ -180,6 +249,18 @@ wide_databases = st.builds(
     n_tx=st.integers(65, 400),
     n_items=st.integers(2, 7),
     lead_share=st.floats(0, 0.9),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+# Enough items for the level-wise kernel, skewed so that the lattice stays
+# small at the thresholds that keep enough of them frequent for it.
+many_item_databases = st.builds(
+    lambda n_tx, n_items, lead_share, seed: wide_rows(
+        n_tx, n_items, int(lead_share * n_tx), seed, skew=0.5
+    ),
+    n_tx=st.integers(65, 300),
+    n_items=st.integers(24, 32),
+    lead_share=st.floats(0, 0.5),
     seed=st.integers(0, 2**32 - 1),
 )
 
@@ -201,19 +282,34 @@ class TestBitmapKernel:
         minsupp_share=st.floats(0.01, 0.6),
     )
     def test_grown_index_remines_like_rebuild(self, rows, split_share, minsupp_share):
-        split = int(split_share * len(rows))
-        db = db_from_rows(rows[:split])
-        tl = TradeList.build(db)
         minsupp = max(1, int(minsupp_share * len(rows)))
-        if split:
-            mine(tl, minsupp)
-        for t, row in enumerate(rows[split:], start=split):
-            tl.add_transaction(db.add_transaction(f"T{t + 1}", [f"I{i}" for i in row]))
-        rebuilt = TradeList.build(db)
-        assert tl == rebuilt
-        grown, fresh = remine(tl, minsupp), mine(rebuilt, minsupp)
-        assert grown.levels == fresh.levels
-        assert grown.stats.intersections == fresh.stats.intersections
+        remine_grown_and_rebuilt(rows, int(split_share * len(rows)), minsupp)
+
+    @settings(deadline=None, max_examples=20)
+    @given(rows=many_item_databases, split_share=st.floats(0, 1), data=st.data())
+    def test_grown_index_remines_like_rebuild_levelwise(self, rows, split_share, data):
+        full = TradeList.build(db_from_rows(rows))
+        assume(full.n_items >= LEVELWISE_MIN_ITEMS)
+        rank = data.draw(st.integers(LEVELWISE_MIN_ITEMS, full.n_items), label="rank")
+        minsupp = nth_support(full, rank)
+        grown = remine_grown_and_rebuilt(rows, int(split_share * len(rows)), minsupp)
+        assert len(grown.level(1)) >= LEVELWISE_MIN_ITEMS
+
+
+def remine_grown_and_rebuilt(rows, split, minsupp):
+    """Build on ``rows[:split]``, mine, append the rest, and re-mine like a rebuild."""
+    db = db_from_rows(rows[:split])
+    tl = TradeList.build(db)
+    if split:
+        mine(tl, minsupp)
+    for t, row in enumerate(rows[split:], start=split):
+        tl.add_transaction(db.add_transaction(f"T{t + 1}", [f"I{i}" for i in row]))
+    rebuilt = TradeList.build(db)
+    assert tl == rebuilt
+    grown, fresh = remine(tl, minsupp), mine(rebuilt, minsupp)
+    assert grown.levels == fresh.levels
+    assert grown.stats.intersections == fresh.stats.intersections
+    return grown
 
 
 def fresh_bitmap(tl, item):
@@ -254,29 +350,52 @@ class TestBitmapCache:
     @settings(deadline=None, max_examples=40)
     @given(rows=wide_databases, data=st.data())
     def test_interleaved_appends_and_mines_match_rebuild(self, rows, data):
-        cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=5), label="cuts"))
-        bounds = [0, *cuts, len(rows)]
-        # The first slice is built; each later one is appended after a mine.
-        db = db_from_rows(rows[: bounds[1]])
-        tl = TradeList.build(db)
-        covered: dict[int, int] = {}  # what the cache should cover, per item
-        for lo, hi in zip(bounds[1:], bounds[2:] + [None]):
-            if tl.n_transactions:
-                minsupp = data.draw(st.integers(1, tl.n_transactions), label="minsupp")
-                grown, fresh = remine(tl, minsupp), mine(TradeList.build(db), minsupp)
-                assert grown.levels == fresh.levels
-                assert grown.stats.intersections == fresh.stats.intersections
-                frequent = [fi.itemset[0] for fi in grown.level(1)]
-                if len(frequent) > 1:
-                    expected = sum(len(tl.tidset(i)) - covered.get(i, 0) for i in frequent)
-                    assert grown.stats.bitmap_tids == expected
-                    assert fresh.stats.bitmap_tids == sum(len(tl.tidset(i)) for i in frequent)
-                    covered.update((i, len(tl.tidset(i))) for i in frequent)
-                else:
-                    assert grown.stats.bitmap_tids == fresh.stats.bitmap_tids == 0
-                if data.draw(st.booleans(), label="read every cached bitmap"):
-                    for item in covered:
-                        assert tl.bitmap(item) == fresh_bitmap(tl, item)
-                        covered[item] = len(tl.tidset(item))
-            for t, row in enumerate(rows[lo:hi], start=lo):
-                tl.add_transaction(db.add_transaction(f"T{t + 1}", [f"I{i}" for i in row]))
+        def draw_minsupp(tl):
+            return data.draw(st.integers(1, tl.n_transactions), label="minsupp")
+
+        interleave_appends_and_mines(rows, data, draw_minsupp)
+
+    @settings(deadline=None, max_examples=20)
+    @given(rows=many_item_databases, data=st.data())
+    def test_interleaved_appends_and_mines_match_rebuild_levelwise(self, rows, data):
+        def draw_minsupp(tl):
+            # Enough frequent items for the level-wise kernel, once the index
+            # holds that many.
+            low = min(LEVELWISE_MIN_ITEMS, tl.n_items)
+            return nth_support(tl, data.draw(st.integers(low, tl.n_items), label="rank"))
+
+        interleave_appends_and_mines(rows, data, draw_minsupp)
+
+
+def interleave_appends_and_mines(rows, data, draw_minsupp):
+    """Build on a first slice of ``rows``, then mine and append a slice at a time.
+
+    Each re-mine must equal a rebuild's, and convert only what was appended
+    to the frequent items since their bitmaps were last read.
+    """
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=5), label="cuts"))
+    bounds = [0, *cuts, len(rows)]
+    # The first slice is built; each later one is appended after a mine.
+    db = db_from_rows(rows[: bounds[1]])
+    tl = TradeList.build(db)
+    covered: dict[int, int] = {}  # what the cache should cover, per item
+    for lo, hi in zip(bounds[1:], bounds[2:] + [None]):
+        if tl.n_transactions:
+            minsupp = draw_minsupp(tl)
+            grown, fresh = remine(tl, minsupp), mine(TradeList.build(db), minsupp)
+            assert grown.levels == fresh.levels
+            assert grown.stats.intersections == fresh.stats.intersections
+            frequent = [fi.itemset[0] for fi in grown.level(1)]
+            if len(frequent) > 1:
+                expected = sum(len(tl.tidset(i)) - covered.get(i, 0) for i in frequent)
+                assert grown.stats.bitmap_tids == expected
+                assert fresh.stats.bitmap_tids == sum(len(tl.tidset(i)) for i in frequent)
+                covered.update((i, len(tl.tidset(i))) for i in frequent)
+            else:
+                assert grown.stats.bitmap_tids == fresh.stats.bitmap_tids == 0
+            if data.draw(st.booleans(), label="read every cached bitmap"):
+                for item in covered:
+                    assert tl.bitmap(item) == fresh_bitmap(tl, item)
+                    covered[item] = len(tl.tidset(item))
+        for t, row in enumerate(rows[lo:hi], start=lo):
+            tl.add_transaction(db.add_transaction(f"T{t + 1}", [f"I{i}" for i in row]))

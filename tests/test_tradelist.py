@@ -256,6 +256,36 @@ class TestSupports:
         tl.add_transaction(db.add_transaction("T3", [f"I{i}" for i in range(11)]))
         assert tl.supports().tolist() == [2, 2, 2, 3, 2, 2, 2, 2, 2, 2, 2]
 
+    def test_queue_is_dropped_at_half_the_items(self):
+        db = db_from_rows([list(range(10))])
+        tl = TradeList.build(db)
+
+        def fresh():
+            return TradeList.build(db).supports().tolist()
+
+        # Nothing is queued before the first read.
+        tl.add_transaction(add_row(db, [0, 1, 2, 3]))
+        assert tl._pending == []
+        assert tl.supports().tolist() == fresh()
+        # 2 and then 4 entries stay below half the 10 items; two more, one of
+        # them a new item, reach half the 11, so the kept array goes and
+        # nothing more is queued.
+        tl.add_transaction(add_row(db, [4, 5]))
+        tl.add_transaction(add_row(db, [6, 7]))
+        assert len(tl._pending) == 4
+        tl.add_transaction(add_row(db, [8, 10]))
+        assert tl._pending == []
+        tl.add_transaction(add_row(db, [9, 10, 11]))
+        assert tl._pending == []
+        assert tl.supports().tolist() == fresh()
+        # Read again: small batches are queued and counted in, new items too.
+        tl.add_transaction(add_row(db, [12]))
+        assert tl.supports().tolist() == fresh()
+        tl.add_transaction(add_row(db, [0, 13]))
+        assert len(tl._pending) == 2
+        assert tl.supports().tolist() == fresh()
+        assert tl.supports().tolist() == fresh()
+
     def test_equality_ignores_the_kept_supports(self, store9_db):
         read, unread = TradeList.build(store9_db), TradeList.build(store9_db)
         read.supports()
