@@ -2,8 +2,9 @@
 
 One scan of the transaction database builds the index; mining, re-mining at
 new thresholds, and incremental transaction adds all run off the index
-without touching the raw data again. A level-wise baseline miner provides an
-independent route to the same answers for testing and benchmarking.
+without scanning the earlier rows again. A level-wise baseline miner
+provides an independent route to the same answers for testing and
+benchmarking.
 """
 
 from .apriori import mine_apriori

@@ -52,7 +52,6 @@ def parse_into(db: Database, text: str) -> list[Itemset]:
     the ``line N:`` prefix and ``line`` attribute of the offending line.
     """
     n_tx, n_items, n_tids = len(db.transactions), len(db.items), len(db.tids)
-    added: list[Itemset] = []
     try:
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -60,7 +59,7 @@ def parse_into(db: Database, text: str) -> list[Itemset]:
                 continue
             tid_label, *item_labels = line.split(",")
             try:
-                added.append(db.add_transaction(tid_label, item_labels))
+                db.add_transaction(tid_label, item_labels)
             except (ParseError, DuplicateTidError) as exc:
                 raise type(exc)(str(exc), line=lineno) from None
     except MiningError:
@@ -68,7 +67,7 @@ def parse_into(db: Database, text: str) -> list[Itemset]:
         db.items.truncate(n_items)
         db.tids.truncate(n_tids)
         raise
-    return added
+    return db.transactions[n_tx:]
 
 
 def write_database(db: Database) -> str:

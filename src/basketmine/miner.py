@@ -234,7 +234,8 @@ def _levelwise(
         for lo in range(0, len(parent), block):
             common = rows[parent[lo : lo + block]]
             common &= items[at[lo : lo + block]]
-            support = np.bitwise_count(common).sum(axis=1)
+            # Exact while a row has fewer than 2^32 bits, one per transaction.
+            support = np.bitwise_count(common).sum(axis=1, dtype=np.uint32)
             hit = np.flatnonzero(support >= minsupp)
             found.append((common[hit], hit + lo, support[hit]))
         if not sum(len(hit) for _, hit, _ in found):

@@ -66,8 +66,8 @@ class Interner:
 
     Labels come in only through :meth:`Database.add_transaction`, which trims
     and checks every one, so every interned label can be written back.
-    ``in`` and ``ordinal`` trim surrounding whitespace. Re-interning a known
-    label is a no-op that returns the ordinal assigned the first time.
+    Re-interning a known label is a no-op that returns the ordinal assigned
+    the first time.
     """
 
     __slots__ = ("_labels", "_by_label")
@@ -79,9 +79,6 @@ class Interner:
     def __len__(self) -> int:
         return len(self._labels)
 
-    def __contains__(self, label: str) -> bool:
-        return label.strip() in self._by_label
-
     def _intern(self, label: str) -> int:
         """The label's ordinal, the next one if it is new; the caller trimmed and checked it."""
         n = len(self._labels)
@@ -89,12 +86,6 @@ class Interner:
         if ordinal == n:
             self._labels.append(label)
         return ordinal
-
-    def ordinal(self, label: str) -> int:
-        try:
-            return self._by_label[label.strip()]
-        except KeyError:
-            raise UnknownItemError(f"unknown label {label!r}") from None
 
     def label(self, ordinal: int) -> str:
         if not 0 <= ordinal < len(self._labels):

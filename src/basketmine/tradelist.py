@@ -15,13 +15,14 @@ current tidset. A later read ORs in a bitmap of only the TIDs appended since,
 so re-mining after a batch costs the batch, not the whole history. Appending
 leaves the cache alone; reads fill it, and replace an item's entry whole, so
 shared reads stay safe. The array of every item's support is kept the same
-way: appending queues the transaction's items and the next read counts them
-in, until the queue would reach half the items; then the array is dropped and
-the next read recounts every tidset.
+way, with the number of rows it counts: a read counts in the rows indexed
+since from the database itself, or recounts every tidset once those rows hold
+half as many entries as there are items.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -60,7 +61,7 @@ class TradeList:
         "_tidsets",
         "_bitmaps",
         "_supports",
-        "_pending",
+        "_counted",
         "n_transactions",
         "raw_passes",
         "bitmap_tids",
@@ -71,10 +72,9 @@ class TradeList:
         self._tidsets: list[list[int]] = [[] for _ in range(len(db.items))]
         self._bitmaps: dict[int, int] = {}
         # Every item's support as of the last supports() read (None: never
-        # read, or dropped), and the items of every transaction appended since
-        # while it is kept, in one list.
+        # read), and the number of rows it counts.
         self._supports: np.ndarray | None = None
-        self._pending: list[int] = []
+        self._counted = 0
         self.n_transactions = 0
         self.raw_passes = 0
         self.bitmap_tids = 0
@@ -99,23 +99,31 @@ class TradeList:
         """Every item's support (its tidset's length), indexed by item ordinal.
 
         A fresh array each call. The one kept since the last call absorbs only
-        the entries appended since; once those would come to half the items,
-        appending drops the kept array and this reads every tidset's length
-        again.
+        the rows indexed since, read from the database; once those rows hold
+        half as many entries as there are items, this reads every tidset's
+        length again instead.
         """
-        tidsets, pending, kept = self._tidsets, self._pending, self._supports
+        kept, counted, n = self._supports, self._counted, self.n_transactions
+        if kept is not None and counted == n:
+            return kept.copy()
+        tidsets = self._tidsets
         n_items = len(tidsets)
-        n_pending = len(pending)
-        if kept is None:
-            supports = np.fromiter(map(len, tidsets), dtype=np.intp, count=n_items)
-        elif n_pending:
-            appended = np.fromiter(pending, dtype=np.intp, count=n_pending)
+        # Counting in as many entries as half the items is no cheaper than
+        # reading every length again: each entry costs about as much to count
+        # in as a length does to read, plus a fixed cost. Every row holds an
+        # entry, so that many rows settle it without counting their entries.
+        fold = kept is not None and 2 * (n - counted) < n_items
+        if fold:
+            rows = self._db.transactions[counted:n]
+            n_entries = sum(map(len, rows))
+            fold = 2 * n_entries < n_items
+        if fold:
+            appended = np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=n_entries)
             supports = np.bincount(appended, minlength=n_items)
             supports[: len(kept)] += kept
         else:
-            supports = kept
-        pending.clear()
-        self._supports = supports
+            supports = np.fromiter(map(len, tidsets), dtype=np.intp, count=n_items)
+        self._supports, self._counted = supports, n
         return supports.copy()
 
     def add_transaction(self, items: Itemset) -> None:
@@ -138,15 +146,6 @@ class TradeList:
             tidsets.extend([] for _ in range(grow))
         for item in items:
             tidsets[item].append(tid)
-        if self._supports is not None:
-            # Counting in as many entries as half the items is no cheaper
-            # than reading every length again: each entry costs about as much
-            # to count in as a length does to read, plus a fixed cost.
-            pending = self._pending
-            pending += items
-            if 2 * len(pending) >= len(tidsets):
-                self._supports = None
-                pending.clear()
         self.n_transactions = tid + 1
 
     def _tids(self, item: int) -> list[int]:

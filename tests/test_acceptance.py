@@ -59,7 +59,7 @@ def test_criterion_1_index_reconstruction(store9_db):
 def test_criterion_2_worked_pair_intersection(store9_db):
     with criterion(2, "support of {I1, I2} is 4 by tidset intersection"):
         tl = TradeList.build(store9_db)
-        i1, i2 = store9_db.items.ordinal("I1"), store9_db.items.ordinal("I2")
+        i1, i2 = store9_db.items.labels().index("I1"), store9_db.items.labels().index("I2")
         common = tl.bitmap(i1) & tl.bitmap(i2)
         assert common.bit_count() == 4
         assert common == sum(1 << t for t in brute_tidset(store9_db, (i1, i2)))
@@ -88,7 +88,7 @@ def test_criterion_3_fourteen_itemsets_after_append(store10_db):
         assert with_labels(vertical) == with_labels(horizontal) == expected_labels
 
         # The triple {I1, I2, I4} is NOT frequent: brute-force support is 1.
-        ords = tuple(sorted(db.items.ordinal(x) for x in ("I1", "I2", "I4")))
+        ords = tuple(sorted(db.items.labels().index(x) for x in ("I1", "I2", "I4")))
         assert len(brute_tidset(db, ords)) == 1
         assert ords not in vertical.support_map()
 

@@ -83,7 +83,23 @@ def test_interner_surface_is_pinned():
     # Labels reach the dictionaries only through Database.add_transaction, which
     # checks them; a second public write path would be a visible edit here.
     public = {name for name in vars(Interner) if not name.startswith("_")}
-    assert public == {"label", "label_getter", "labels", "ordinal", "truncate"}
+    assert public == {"label", "label_getter", "labels", "truncate"}
+
+
+def test_benchmark_reads_only_interner_attributes():
+    # ``db.items`` and ``db.tids`` are Interners; every attribute the harness
+    # reads through them must still be defined there.
+    read = {
+        node.attr
+        for path in sorted(PERFBENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr in ("items", "tids")
+    }
+    assert "label" in read and "labels" in read
+    missing = sorted(attr for attr in read if not hasattr(Interner, attr))
+    assert missing == []
 
 
 @pytest.mark.parametrize("module", ["basketmine", *sorted(f"basketmine.{m}" for m in SUBMODULES)])

@@ -52,11 +52,11 @@ class TestGenerateCandidates:
 
 class TestCountSupport:
     def test_pair_count(self, store9_db):
-        i1, i2 = store9_db.items.ordinal("I1"), store9_db.items.ordinal("I2")
+        i1, i2 = store9_db.items.labels().index("I1"), store9_db.items.labels().index("I2")
         assert count_support(store9_db, [tuple(sorted((i1, i2)))]) == [4]
 
     def test_triple_count(self, store9_db):
-        ords = tuple(sorted(store9_db.items.ordinal(x) for x in ("I1", "I2", "I4")))
+        ords = tuple(sorted(store9_db.items.labels().index(x) for x in ("I1", "I2", "I4")))
         assert count_support(store9_db, [ords]) == [1]
 
     def test_no_itemsets_no_counts(self, store9_db):

@@ -146,7 +146,7 @@ class TestParseIntoAtomic:
             parse_into(store9_db, "T901,I1\nT902,I2\nT903,,I3\n")
         assert store9_db.n_transactions == tl.n_transactions == 9
         assert store9_db.items.labels() == ("I1", "I2", "I5", "I4", "I3")
-        assert "T901" not in store9_db.tids
+        assert "T901" not in store9_db.tids.labels()
         for tx in parse_into(store9_db, "T901,I1\nT902,I6\n"):
             tl.add_transaction(tx)
         assert tl == TradeList.build(store9_db)

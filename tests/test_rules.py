@@ -70,7 +70,7 @@ class TestParseConfidence:
 class TestGenerateRules:
     def expected_store9_rules(self, db):
         def ords(*labels):
-            return tuple(sorted(db.items.ordinal(x) for x in labels))
+            return tuple(sorted(db.items.labels().index(x) for x in labels))
 
         return [
             Rule(ords("I5"), ords("I1"), 2, Fraction(1)),
@@ -103,7 +103,7 @@ class TestGenerateRules:
         result = mine(TradeList.build(store9_db), 2)
         at_boundary = generate_rules(result, RuleQuery(Fraction(2, 3)))
         # I1 => I2 sits exactly at 4/6; "not less than" includes it.
-        i1, i2 = store9_db.items.ordinal("I1"), store9_db.items.ordinal("I2")
+        i1, i2 = store9_db.items.labels().index("I1"), store9_db.items.labels().index("I2")
         assert any(
             r.antecedent == (i1,) and r.consequent == (i2,) for r in at_boundary
         )

@@ -1,12 +1,13 @@
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basketmine.ingest import parse_database, parse_into
 from basketmine.miner import mine
-from basketmine.model import Database, MiningError, UnknownItemError
+from basketmine.model import Database, DuplicateTidError, MiningError, UnknownItemError
 from basketmine.tradelist import TradeList
 
 from oracles import add_row, brute_tidset, db_from_rows, db_rows, read_tradelist_log
@@ -14,6 +15,25 @@ from oracles import add_row, brute_tidset, db_from_rows, db_rows, read_tradelist
 
 def tid_labels(db, tidset):
     return [db.tids.label(t) for t in tidset]
+
+
+def read(tl):
+    """``tl.supports()`` as a list, and how it was made: "reuse", "fold" or "recount".
+
+    A fold counts the new rows' entries with ``np.bincount``; a recount reads
+    every length with ``np.fromiter`` alone; a reuse calls neither.
+    """
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("bincount", "fromiter"):
+            def spy(*args, _name=name, _call=getattr(np, name), **kwargs):
+                calls.append(_name)
+                return _call(*args, **kwargs)
+
+            patch.setattr(np, name, spy)
+        supports = tl.supports().tolist()
+    way = "fold" if "bincount" in calls else "recount" if calls else "reuse"
+    return supports, way
 
 
 def as_bitmap(tids):
@@ -35,12 +55,12 @@ def and_bitmap(tl, itemset):
 class TestBuild:
     def test_store9_tidsets(self, store9_db):
         tl = TradeList.build(store9_db)
-        i1 = store9_db.items.ordinal("I1")
+        i1 = store9_db.items.labels().index("I1")
         assert tid_labels(store9_db, tl.tidset(i1)) == [
             "T100", "T400", "T500", "T700", "T800", "T900",
         ]
-        assert len(tl.tidset(store9_db.items.ordinal("I4"))) == 2
-        assert len(tl.tidset(store9_db.items.ordinal("I5"))) == 2
+        assert len(tl.tidset(store9_db.items.labels().index("I4"))) == 2
+        assert len(tl.tidset(store9_db.items.labels().index("I5"))) == 2
 
     def test_store9_all_five_tidsets(self, store9_db):
         tl = TradeList.build(store9_db)
@@ -75,8 +95,8 @@ class TestAddTransaction:
         tl = TradeList.build(store9_db)
         tx = store9_db.add_transaction("T910", ["I1", "I4"])
         tl.add_transaction(tx)
-        assert len(tl.tidset(store9_db.items.ordinal("I4"))) == 3
-        assert len(tl.tidset(store9_db.items.ordinal("I1"))) == 7
+        assert len(tl.tidset(store9_db.items.labels().index("I4"))) == 3
+        assert len(tl.tidset(store9_db.items.labels().index("I1"))) == 7
         assert tl.n_transactions == 10
         assert tl.raw_passes == 1
 
@@ -97,14 +117,15 @@ class TestAddTransaction:
         tx = store9_db.add_transaction("T910", ["I1", "I9"])
         tl.add_transaction(tx)
         assert tl.n_items == 6
-        assert len(tl.tidset(store9_db.items.ordinal("I9"))) == 1
+        assert len(tl.tidset(store9_db.items.labels().index("I9"))) == 1
 
     def test_index_grows_to_the_rows_largest_item(self, store9_db):
         tl = TradeList.build(store9_db)
         store9_db.items._intern("I6")  # an item no indexed row holds
         tl.add_transaction(store9_db.add_transaction("T910", ["I7", "I2", "I8"]))
         assert tl.n_items == 8
-        assert [len(tl.tidset(store9_db.items.ordinal(f"I{k}"))) for k in (6, 7, 8)] == [0, 1, 1]
+        labels = store9_db.items.labels()
+        assert [len(tl.tidset(labels.index(f"I{k}"))) for k in (6, 7, 8)] == [0, 1, 1]
 
     def test_duplicate_ordinal_rejected(self, store9_db):
         tl = TradeList.build(store9_db)
@@ -155,8 +176,8 @@ class TestAddTransaction:
 class TestQueries:
     def test_item_support_counts(self, store9_db):
         tl = TradeList.build(store9_db)
-        assert len(tl.tidset(store9_db.items.ordinal("I1"))) == 6
-        assert len(tl.tidset(store9_db.items.ordinal("I2"))) == 7
+        assert len(tl.tidset(store9_db.items.labels().index("I1"))) == 6
+        assert len(tl.tidset(store9_db.items.labels().index("I2"))) == 7
 
     def test_unknown_item(self, store9_db):
         tl = TradeList.build(store9_db)
@@ -167,18 +188,18 @@ class TestQueries:
 
     def test_pair_intersection_count(self, store9_db):
         tl = TradeList.build(store9_db)
-        pair = [store9_db.items.ordinal("I1"), store9_db.items.ordinal("I2")]
+        pair = [store9_db.items.labels().index("I1"), store9_db.items.labels().index("I2")]
         assert and_bitmap(tl, pair).bit_count() == 4
 
     def test_singleton_is_items_own_tidset(self, store9_db):
         tl = TradeList.build(store9_db)
-        i1 = store9_db.items.ordinal("I1")
+        i1 = store9_db.items.labels().index("I1")
         assert and_bitmap(tl, [i1]) == fresh_bitmap(tl, i1)
 
     def test_triple(self, store9_db):
         tl = TradeList.build(store9_db)
-        triple = [store9_db.items.ordinal(x) for x in ("I1", "I2", "I3")]
-        expected = [store9_db.tids.ordinal(t) for t in ("T800", "T900")]
+        triple = [store9_db.items.labels().index(x) for x in ("I1", "I2", "I3")]
+        expected = [store9_db.tids.labels().index(t) for t in ("T800", "T900")]
         assert and_bitmap(tl, triple) == as_bitmap(expected)
 
     def test_empty_itemset_is_every_transaction(self, store9_db):
@@ -188,7 +209,7 @@ class TestQueries:
 
     def test_order_insensitive(self, store9_db):
         tl = TradeList.build(store9_db)
-        triple = [store9_db.items.ordinal(x) for x in ("I1", "I2", "I5")]
+        triple = [store9_db.items.labels().index(x) for x in ("I1", "I2", "I5")]
         expected = and_bitmap(tl, triple)
         for perm in permutations(triple):
             assert and_bitmap(tl, perm) == expected
@@ -226,7 +247,7 @@ class TestQueries:
 class TestReadOnly:
     def test_tidset_is_an_immutable_copy(self, store9_db):
         tl = TradeList.build(store9_db)
-        i1 = store9_db.items.ordinal("I1")
+        i1 = store9_db.items.labels().index("I1")
         tids = tl.tidset(i1)
         assert isinstance(tids, tuple)
         with pytest.raises(AttributeError):
@@ -256,35 +277,58 @@ class TestSupports:
         tl.add_transaction(db.add_transaction("T3", [f"I{i}" for i in range(11)]))
         assert tl.supports().tolist() == [2, 2, 2, 3, 2, 2, 2, 2, 2, 2, 2]
 
-    def test_queue_is_dropped_at_half_the_items(self):
+    def test_recounts_from_half_the_items(self):
+        # A read counts in the rows indexed since the last read while they
+        # hold fewer entries than half the items, new items included, and
+        # reads every length again otherwise.
+        def ways(*batches):
+            """Index each batch of rows in turn, reading after each: how each read ran."""
+            db = db_from_rows([list(range(10))])
+            tl = TradeList.build(db)
+            taken = []
+            for batch in batches:
+                for row in batch:
+                    tl.add_transaction(add_row(db, row))
+                supports, way = read(tl)
+                assert supports == TradeList.build(db).supports().tolist()
+                taken.append(way)
+            return taken
+
+        # Nothing is kept before the first read.
+        assert ways([[0, 1, 2, 3]]) == ["recount"]
+        # 4 entries of 10 items, and 5 of 11, are counted in; 5 of 10 and
+        # 6 of 11 reach half.
+        assert ways([], [[4, 5], [6, 7]]) == ["recount", "fold"]
+        assert ways([], [[4, 5], [6, 7], [10]]) == ["recount", "fold"]
+        assert ways([], [[4, 5], [6, 7], [8]]) == ["recount", "recount"]
+        assert ways([], [[4, 5], [6, 7], [8, 10]]) == ["recount", "recount"]
+        # After a recount small batches are counted in again, new items too,
+        # and a read with nothing indexed since reuses the kept array.
+        batches = [[0, 1, 2, 3]], [[4, 5], [6, 7], [8, 10], [9, 10, 11]], [[12]], [[0, 13]], []
+        assert ways(*batches) == ["recount", "recount", "fold", "fold", "reuse"]
+
+    def test_rows_not_yet_indexed_are_not_counted(self):
         db = db_from_rows([list(range(10))])
         tl = TradeList.build(db)
+        first = tl.supports().tolist()
+        row = add_row(db, [0, 1])  # held by the database, not yet indexed
+        assert read(tl) == (first, "reuse")
+        add_row(db, [2])
+        tl.add_transaction(row)
+        assert read(tl) == ([2, 2] + [1] * 8, "fold")
+        tl.add_transaction(db.transactions[-1])
+        assert read(tl) == ([2, 2, 2] + [1] * 7, "fold")
+        assert tl == TradeList.build(db)
 
-        def fresh():
-            return TradeList.build(db).supports().tolist()
-
-        # Nothing is queued before the first read.
-        tl.add_transaction(add_row(db, [0, 1, 2, 3]))
-        assert tl._pending == []
-        assert tl.supports().tolist() == fresh()
-        # 2 and then 4 entries stay below half the 10 items; two more, one of
-        # them a new item, reach half the 11, so the kept array goes and
-        # nothing more is queued.
-        tl.add_transaction(add_row(db, [4, 5]))
-        tl.add_transaction(add_row(db, [6, 7]))
-        assert len(tl._pending) == 4
-        tl.add_transaction(add_row(db, [8, 10]))
-        assert tl._pending == []
-        tl.add_transaction(add_row(db, [9, 10, 11]))
-        assert tl._pending == []
-        assert tl.supports().tolist() == fresh()
-        # Read again: small batches are queued and counted in, new items too.
-        tl.add_transaction(add_row(db, [12]))
-        assert tl.supports().tolist() == fresh()
-        tl.add_transaction(add_row(db, [0, 13]))
-        assert len(tl._pending) == 2
-        assert tl.supports().tolist() == fresh()
-        assert tl.supports().tolist() == fresh()
+    def test_a_rolled_back_update_between_reads(self, store9_db):
+        tl = TradeList.build(store9_db)
+        tl.supports()
+        with pytest.raises(DuplicateTidError):
+            parse_into(store9_db, "T910,I1,I9\nT100,I2\n")  # T100 is taken: nothing stays
+        assert read(tl) == (TradeList.build(store9_db).supports().tolist(), "reuse")
+        for tx in parse_into(store9_db, "T910,I1,I9\n"):
+            tl.add_transaction(tx)
+        assert read(tl) == (TradeList.build(store9_db).supports().tolist(), "fold")
 
     def test_equality_ignores_the_kept_supports(self, store9_db):
         read, unread = TradeList.build(store9_db), TradeList.build(store9_db)
@@ -314,7 +358,7 @@ class TestSupports:
 class TestBitmap:
     def test_store9_bitmaps(self, store9_db):
         tl = TradeList.build(store9_db)
-        i1 = store9_db.items.ordinal("I1")
+        i1 = store9_db.items.labels().index("I1")
         assert tl.bitmap(i1) == 0b111011001  # T100, T400, T500, T700, T800, T900
         assert [tl.bitmap(i) for i in range(tl.n_items)] == [
             fresh_bitmap(tl, i) for i in range(tl.n_items)
@@ -323,7 +367,7 @@ class TestBitmap:
     def test_read_extends_by_the_appended_tids(self, store9_db):
         tl = TradeList.build(store9_db)
         assert tl.bitmap_tids == 0
-        i1, i4 = (store9_db.items.ordinal(label) for label in ("I1", "I4"))
+        i1, i4 = (store9_db.items.labels().index(label) for label in ("I1", "I4"))
         tl.bitmap(i1)
         assert tl.bitmap_tids == 6
         tl.bitmap(i1)
