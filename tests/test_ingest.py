@@ -16,6 +16,7 @@ from basketmine.ingest import (
     write_database,
 )
 from basketmine.model import (
+    Database,
     DuplicateTidError,
     MiningError,
     ParseError,
@@ -151,6 +152,29 @@ class TestParseIntoAtomic:
             tl.add_transaction(tx)
         assert tl == TradeList.build(store9_db)
 
+    def test_interrupted_update_leaves_db_and_index_in_step(self, monkeypatch, store9_db):
+        # Not a rejected row: the second row's add_transaction raises after
+        # the first row and its new item went in.
+        snapshot = parse_database(write_database(store9_db))
+        tl = TradeList.build(store9_db)
+        add_transaction = Database.add_transaction
+        calls = []
+
+        def failing(self, tid_label, item_labels):
+            calls.append(tid_label)
+            if len(calls) == 2:
+                raise MemoryError
+            return add_transaction(self, tid_label, item_labels)
+
+        monkeypatch.setattr(Database, "add_transaction", failing)
+        with pytest.raises(MemoryError):
+            parse_into(store9_db, "T901,I1,I9\nT902,I2\n")
+        monkeypatch.undo()
+        assert store9_db == snapshot
+        for tx in parse_into(store9_db, "T901,I1\nT902,I6\n"):
+            tl.add_transaction(tx)
+        assert tl == TradeList.build(store9_db)
+
     @settings(deadline=None, max_examples=80)
     @given(
         rows=db_rows(max_tx=6, max_items=4),
@@ -217,13 +241,25 @@ def rank_weights(n_items: int) -> list[float]:
     return [1 / r / total for r in range(1, n_items + 1)]
 
 
-def draw_rows(n_items: int, length: int, n_rows: int, seed: int) -> list[list[int]]:
-    """The generator's item draws for rows of one length, as 0-based ranks in draw order."""
-    weights = np.array(rank_weights(n_items))
-    cdf = np.cumsum(weights)
-    cdf[-1] = 1.0
-    rng = np.random.default_rng(seed)
-    return ingest._draw_rows(rng, weights, cdf, np.full(n_rows, length))
+def drawn_rows(monkeypatch, spec: SyntheticSpec, length: int) -> list[list[int]]:
+    """The rows of ``length`` items that ``spec`` generates, as 0-based ranks in draw order.
+
+    A spy on ``Database.add_transaction`` sees each row's labels in the
+    order they were drawn. Lengths are drawn apart from the items, so the
+    rows of one length are a sample of rows of that length.
+    """
+    rows = []
+    add_transaction = Database.add_transaction
+
+    def spy(self, tid_label, item_labels):
+        labels = list(item_labels)
+        if len(labels) == length:
+            rows.append([int(label[1:]) - 1 for label in labels])
+        return add_transaction(self, tid_label, labels)
+
+    monkeypatch.setattr(Database, "add_transaction", spy)
+    generate_synthetic(spec)
+    return rows
 
 
 def assert_frequency(count: int, n: int, p: float) -> None:
@@ -258,26 +294,23 @@ class TestSynthetic:
         mean = sum(len(tx) for tx in db.transactions) / db.n_transactions
         assert abs(mean - 8.0) <= 0.5
 
-    @pytest.mark.parametrize("slack", [ingest._POOL_SLACK, -3])
-    def test_ordered_pairs_follow_successive_sampling(self, monkeypatch, slack):
-        # Rows of two of three items. With slack -3 each row's pool share is a
-        # single draw, so every second item comes from the conditional draw.
-        monkeypatch.setattr(ingest, "_POOL_SLACK", slack)
-        rows = draw_rows(n_items=3, length=2, n_rows=10_000, seed=2024)
+    def test_ordered_pairs_follow_successive_sampling(self, monkeypatch):
+        # Rows of two of three items, in draw order.
+        rows = drawn_rows(monkeypatch, SyntheticSpec(40_000, 3, 2.0, seed=2024), length=2)
         w = rank_weights(3)
+        n = len(rows)
+        assert n > 10_000
         counts = Counter(map(tuple, rows))
-        assert sum(counts.values()) == 10_000
         for i, j in itertools.permutations(range(3), 2):
-            assert_frequency(counts[i, j], 10_000, w[i] * w[j] / (1 - w[i]))
+            assert_frequency(counts[i, j], n, w[i] * w[j] / (1 - w[i]))
 
-    @pytest.mark.parametrize("slack", [ingest._POOL_SLACK, -9])
-    def test_rows_that_run_out_finish_with_the_exact_conditional_draw(self, monkeypatch, slack):
+    def test_rows_of_all_but_one_item_follow_successive_sampling(self, monkeypatch):
         # Five of six items: which item a row lacks, and which item it draws
-        # first, against exact successive sampling. Over a quarter of the rows
-        # run out of their share at the default slack; at -9, all of them do.
-        monkeypatch.setattr(ingest, "_POOL_SLACK", slack)
-        rows = draw_rows(n_items=6, length=5, n_rows=10_000, seed=7)
+        # first, against exact successive sampling.
+        rows = drawn_rows(monkeypatch, SyntheticSpec(60_000, 6, 5.0, seed=7), length=5)
         w = rank_weights(6)
+        n = len(rows)
+        assert n > 10_000
         assert all(len(set(row)) == 5 for row in rows)
         missing = Counter((set(range(6)) - set(row)).pop() for row in rows)
         first = Counter(row[0] for row in rows)
@@ -286,8 +319,17 @@ class TestSynthetic:
                 math.prod(w[g] / (1 - sum(w[h] for h in order[:k])) for k, g in enumerate(order))
                 for order in itertools.permutations(set(range(6)) - {item}, 5)
             )
-            assert_frequency(missing[item], 10_000, lacks)
-            assert_frequency(first[item], 10_000, w[item])
+            assert_frequency(missing[item], n, lacks)
+            assert_frequency(first[item], n, w[item])
+
+    @pytest.mark.parametrize("draws", [7, ingest._POOL_DRAWS])
+    def test_rows_do_not_depend_on_the_pool_size(self, monkeypatch, draws):
+        # Against one draw per refill. Short and near-full rows both cross refills.
+        specs = [SyntheticSpec(300, 40, 6.0, seed=3), SyntheticSpec(30, 8, 7.5, seed=11)]
+        monkeypatch.setattr(ingest, "_POOL_DRAWS", 1)
+        expected = [generate_synthetic(spec) for spec in specs]
+        monkeypatch.setattr(ingest, "_POOL_DRAWS", draws)
+        assert [generate_synthetic(spec) for spec in specs] == expected
 
     def test_full_length_rows_hold_every_item(self):
         db = generate_synthetic(SyntheticSpec(200, 8, 8.0, seed=5))

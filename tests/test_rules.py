@@ -177,7 +177,7 @@ class TestGenerateRules:
     def test_deep_itemsets_match_every_antecedent_tried(self, minconf):
         # Itemsets up to size 7, so consequents grow over several sizes.
         db = generate_synthetic(SyntheticSpec(200, 20, 6, 7))
-        result = mine(TradeList.build(db), 6)
+        result = mine(TradeList.build(db), 4)
         assert len(result.levels) == 7
         expected = brute_rules(result, Fraction(minconf))
         assert generate_rules(result, RuleQuery(Fraction(minconf))) == expected
@@ -185,11 +185,11 @@ class TestGenerateRules:
     @pytest.mark.parametrize(
         "minconf,lookups,n_rules",
         [
-            ("3/10", 8613, 6097),
-            ("1/2", 5855, 3354),
-            ("7/10", 4432, 1728),
-            ("9/10", 3903, 770),
-            ("1", 3867, 559),
+            ("3/10", 18853, 13211),
+            ("1/2", 12866, 7425),
+            ("7/10", 9373, 3670),
+            ("9/10", 7979, 1505),
+            ("1", 7956, 1351),
         ],
     )
     def test_deep_itemsets_confidence_tests_pinned(self, monkeypatch, minconf, lookups, n_rules):
@@ -198,7 +198,7 @@ class TestGenerateRules:
         # whose every subset one item smaller passed: a weaker prune, or
         # none, makes more tests for the same rules.
         db = generate_synthetic(SyntheticSpec(200, 20, 6, 7))
-        result = mine(TradeList.build(db), 6)
+        result = mine(TradeList.build(db), 4)
 
         class CountingDict(dict):
             calls = 0
