@@ -19,7 +19,7 @@ from .model import (
     ThresholdError,
     UnknownItemError,
 )
-from .rules import Rule, RuleQuery, format_percent, generate_rules, parse_confidence
+from .rules import Rule, RuleQuery, RuleSet, format_percent, generate_rules, parse_confidence
 from .tradelist import TradeList
 
 __version__ = "0.1.0"
@@ -34,6 +34,7 @@ __all__ = [
     "ParseError",
     "Rule",
     "RuleQuery",
+    "RuleSet",
     "SupportThreshold",
     "SyntheticSpec",
     "ThresholdError",

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 from statistics import median
 from typing import Callable, NoReturn, TypeVar
@@ -29,7 +28,7 @@ from .apriori import mine_apriori
 from .ingest import SyntheticSpec, generate_synthetic, parse_database, parse_into
 from .miner import MineResult, mine, remine
 from .model import Database, MiningError, ParseError, SupportThreshold, UnknownItemError
-from .rules import Rule, RuleQuery, format_percent, generate_rules, parse_confidence
+from .rules import RuleQuery, RuleSet, _percent, format_percent, generate_rules, parse_confidence
 from .tradelist import TradeList
 
 __all__ = ["main"]
@@ -54,25 +53,30 @@ def format_freq_log(result: MineResult, db: Database) -> str:
     return "".join(lines)
 
 
-def format_rules_log(rules: list[Rule], db: Database) -> str:
+def format_rules_log(rules: RuleSet, db: Database) -> str:
     """Rows ``X->Y = <pct>`` with comma-joined labels in canonical order."""
     label = db.items.label_getter()
+    itemsets, supports = rules.itemsets, rules.supports
+    # Each itemset's labels are joined once, and each confidence is rendered
+    # once per distinct (supp(Z), supp(X)) pair.
+    joined: list[str | None] = [None] * len(itemsets)
+    percent: dict[tuple[int, int], str] = {}
     lines = []
-    # Rules share confidence objects, so each object is rendered once. The
-    # value keeps the object alive, so no other object can take its id.
-    percent: dict[int, tuple[Fraction, str]] = {}
     try:
-        for rule in rules:
-            lhs = ",".join(map(label, rule.antecedent))
-            rhs = ",".join(map(label, rule.consequent))
-            confidence = rule.confidence
-            key = id(confidence)
-            rendered = percent.get(key)
+        for z, x, y in zip(*rules.sides.T.tolist()):
+            lhs = joined[x]
+            if lhs is None:
+                lhs = joined[x] = ",".join(map(label, itemsets[x]))
+            rhs = joined[y]
+            if rhs is None:
+                rhs = joined[y] = ",".join(map(label, itemsets[y]))
+            pair = supports[z], supports[x]
+            rendered = percent.get(pair)
             if rendered is None:
-                rendered = percent[key] = (confidence, format_percent(confidence))
-            lines.append(f"{lhs}->{rhs} = {rendered[1]}\n")
+                rendered = percent[pair] = _percent(*pair)
+            lines.append(f"{lhs}->{rhs} = {rendered}\n")
     except IndexError:
-        _unknown(rule)
+        _unknown(rules[len(lines)])
     return "".join(lines)
 
 

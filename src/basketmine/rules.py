@@ -4,41 +4,57 @@ Confidence is exact end to end: the threshold test is an integer
 cross-multiplication, ``supp(Z) * den >= supp(X) * num`` for a minimum
 confidence ``num/den``, so a rule at confidence 2/3 is included by
 ``--minconf 2/3`` and excluded by ``--minconf 0.6667`` with no float
-round-off deciding the boundary. Emitted rules carry their confidence as a
-Fraction; rules with equal supports share one.
+round-off deciding the boundary.
 
 Rules are found by growing consequents, not by trying every antecedent
 (Agrawal & Srikant, VLDB 1994, section 3, ap-genrules). For each frequent Z
 the one-item consequents are tested first. Then each larger size is
-apriori-gen over the passing consequents one item smaller
-(``apriori.generate_candidates``): those that share all but their last item
-are joined, a join with any failed subset one item smaller is dropped, and
-only the rest is tested. This is exact because confidence is anti-monotone
-in the consequent: moving an item of Z from X to the consequent shrinks X,
-which can only raise supp(X) and so lower supp(Z) / supp(X). A consequent
-with a failing subset therefore fails too, and every passing one is reached.
-The work follows the rules emitted plus the failures on their border, not
-the ``2^|Z| - 2`` antecedents of each Z.
+apriori-gen over the passing consequents one item smaller: those that share
+all but their last item are joined, a join with any failed subset one item
+smaller is dropped, and only the rest is tested. This is exact because
+confidence is anti-monotone in the consequent: moving an item of Z from X to
+the consequent shrinks X, which can only raise supp(X) and so lower
+supp(Z) / supp(X). A consequent with a failing subset therefore fails too,
+and every passing one is reached. The work follows the rules emitted plus
+the failures on their border, not the ``2^|Z| - 2`` antecedents of each Z.
+
+A level of at least ``ARRAY_MIN_ITEMSETS`` itemsets is searched a
+consequent size at a time for all of its Z at once, on numpy arrays; a
+smaller one, Z by Z (``apriori.generate_candidates`` is its join). Both
+paths make the same tests and write the same rows. The result is a
+:class:`RuleSet`, which holds each rule as three rows of the mining result
+and builds ``Rule`` records only when it is read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cached_property
+from itertools import accumulate, chain, combinations, count
+from typing import Iterator, NoReturn
+
+import numpy as np
 
 from .apriori import generate_candidates
-from .miner import MineResult
+from .miner import FrequentItemset, MineResult
 from .model import Itemset, MiningError, ThresholdError, _check_itemset, _exact_fraction
 
 __all__ = [
     "Rule",
     "RuleQuery",
+    "RuleSet",
     "confidence",
     "format_percent",
     "generate_rules",
     "parse_confidence",
 ]
+
+#: ``generate_rules`` searches a level of at least this many itemsets on
+#: arrays, and one of fewer Z by Z, where each numpy call's fixed cost
+#: outweighs the work it batches (the crossover, measured in the ROADMAP).
+ARRAY_MIN_ITEMSETS = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,16 +73,6 @@ class Rule:
             raise MiningError(f"rule sides {self.antecedent} and {self.consequent} share an item")
         if not 0 < self.confidence <= 1:
             raise MiningError(f"rule confidence must be in (0, 1], got {self.confidence}")
-
-
-# generate_rules builds each Rule through its slots' own setters, which get
-# past the frozen __setattr__ and the checks (as miner.mine does for
-# FrequentItemset): its sides are disjoint and its confidence is in (0, 1].
-_new_object = object.__new__
-_set_antecedent = Rule.__dict__["antecedent"].__set__
-_set_consequent = Rule.__dict__["consequent"].__set__
-_set_support = Rule.__dict__["support"].__set__
-_set_confidence = Rule.__dict__["confidence"].__set__
 
 
 @dataclass(frozen=True)
@@ -102,7 +108,49 @@ def confidence(supp_xy: int, supp_x: int) -> Fraction:
     return Fraction(supp_xy, supp_x)
 
 
-def generate_rules(frequents: MineResult, query: RuleQuery) -> list[Rule]:
+class RuleSet(Sequence[Rule]):
+    """The rules of one mining result, each held as three of its rows.
+
+    Row r is the result's r-th itemset in iteration order (by level, then
+    canonical order); ``itemsets[r]`` and ``supports[r]`` are its itemset
+    and support. Rule i is ``X => Y`` for ``(z, x, y) = sides[i]``: X is
+    row x, Y row y and their union Z row z. Indexing or iterating builds
+    each ``Rule`` afresh; ``confidence_tests`` counts the antecedent
+    supports looked up to find the rules.
+    """
+
+    __slots__ = ("itemsets", "supports", "sides", "confidence_tests")
+
+    def __init__(
+        self,
+        itemsets: list[Itemset],
+        supports: list[int],
+        sides: np.ndarray,
+        confidence_tests: int,
+    ) -> None:
+        self.itemsets = itemsets
+        self.supports = supports
+        self.sides = sides
+        self.confidence_tests = confidence_tests
+
+    def __len__(self) -> int:
+        return len(self.sides)
+
+    def __getitem__(self, index: int | slice) -> Rule | list[Rule]:
+        if isinstance(index, slice):
+            return list(map(self._rule, *self.sides[index].T.tolist()))
+        return self._rule(*self.sides[index].tolist())
+
+    def __iter__(self) -> Iterator[Rule]:
+        return map(self._rule, *self.sides.T.tolist())
+
+    def _rule(self, z: int, x: int, y: int) -> Rule:
+        supp_z = self.supports[z]
+        conf = confidence(supp_z, self.supports[x])
+        return Rule(self.itemsets[x], self.itemsets[y], supp_z, conf)
+
+
+def generate_rules(frequents: MineResult, query: RuleQuery) -> RuleSet:
     """Every rule X => Z\\X over the frequent itemsets meeting the confidence bar.
 
     Rules are emitted in canonical order: by Z (level, then canonical itemset
@@ -111,74 +159,236 @@ def generate_rules(frequents: MineResult, query: RuleQuery) -> list[Rule]:
     guarantees; a missing antecedent support is therefore an internal error,
     not a data condition.
     """
-    supports = frequents.support_map()
+    rows = _Rows(frequents.levels)
     num = query.min_confidence.numerator
     den = query.min_confidence.denominator
-    confidences: dict[tuple[int, int], Fraction] = {}  # one Fraction per support pair
+    found: list[np.ndarray] = []
+    looped: list[tuple[int, int, int]] = []  # found Z by Z since the last array level
+    tests = 0
+    for k, level in enumerate(frequents.levels[1:], 2):
+        if len(level) >= ARRAY_MIN_ITEMSETS:
+            found.append(_sides(looped))
+            looped = []
+            sides, n_tests = _level_on_arrays(rows, k, num, den)
+            found.append(sides)
+        else:
+            n_tests = _level_by_itemset(rows, k, num, den, looped)
+        tests += n_tests
+    found.append(_sides(looped))
+    sides = np.concatenate(found) if len(found) > 1 else found[0]
+    return RuleSet(rows.itemsets, rows.supports, sides, tests)
 
-    def rule(antecedent: Itemset, consequent: Itemset, supp_whole: int, supp_x: int) -> Rule:
-        conf = confidences.get((supp_whole, supp_x))
-        if conf is None:
-            conf = confidences[supp_whole, supp_x] = confidence(supp_whole, supp_x)
-        new = _new_object(Rule)
-        _set_antecedent(new, antecedent)
-        _set_consequent(new, consequent)
-        _set_support(new, supp_whole)
-        _set_confidence(new, conf)
-        return new
 
-    rules: list[Rule] = []
-    for level in frequents.levels[1:]:
-        for fi in level:
-            whole, supp_whole = fi.itemset, fi.support
-            # supp(X) * num <= supp(Z) * den  iff  supp(X) <= limit, in integers.
-            limit = supp_whole * den // num
-            # The one-item consequents. combinations drops whole[-1] first and
-            # whole[0] last, so the antecedents come in canonical order and
-            # antecedents[j] is the one of consequent (whole[last - j],).
-            last = len(whole) - 1
-            antecedents = list(combinations(whole, last))
-            supps = list(map(supports.get, antecedents))
-            if None in supps:
-                raise MiningError(
-                    f"no support recorded for antecedent {antecedents[supps.index(None)]}; "
-                    "mining result is not downward-closed"
-                )
-            passing = [j for j, supp_x in enumerate(supps) if supp_x <= limit]
-            if len(passing) > 1 and last > 1:
-                # Larger consequents: apriori-gen over the passing consequents
-                # one item smaller, testing only its candidates.
-                antecedent_of = {(whole[last - j],): antecedents[j] for j in reversed(passing)}
-                by_size = []
-                width = last  # the antecedents' length at this size
-                # Stop once the antecedents are single items: a join would leave none.
-                while len(antecedent_of) > 1 and width > 1:
-                    width -= 1
-                    grown = {}
-                    sized = []
-                    for consequent in generate_candidates(list(antecedent_of)):
-                        # The antecedent of the consequent's head, less the added item.
-                        head_antecedent = antecedent_of[consequent[:-1]]
-                        j = head_antecedent.index(consequent[-1])
-                        antecedent = head_antecedent[:j] + head_antecedent[j + 1 :]
-                        # Recorded: head_antecedent is an itemset of a lower
-                        # level, so an earlier Z, whose one-item tests looked
-                        # this one up.
-                        supp_x = supports[antecedent]
-                        if supp_x <= limit:
-                            grown[consequent] = antecedent
-                            sized.append(rule(antecedent, consequent, supp_whole, supp_x))
-                    # Same-size complements come in reverse order: the
-                    # consequents' canonical order is the antecedents' reversed.
-                    sized.reverse()
-                    by_size.append(sized)
-                    antecedent_of = grown
-                # Larger consequents mean smaller antecedents: they come first.
-                for sized in reversed(by_size):
-                    rules += sized
-            for j in passing:
-                rules.append(rule(antecedents[j], (whole[last - j],), supp_whole, supps[j]))
-    return rules
+def _sides(found: list[tuple[int, int, int]]) -> np.ndarray:
+    return np.array(found, dtype=np.int64).reshape(-1, 3)
+
+
+def _not_downward_closed(antecedent: Itemset) -> NoReturn:
+    raise MiningError(
+        f"no support recorded for antecedent {antecedent}; mining result is not downward-closed"
+    )
+
+
+class _Rows:
+    """A mining result's itemsets by row, and each itemset's row.
+
+    The loop looks rows up in a dict. The array path searches each level's
+    rows as fixed-width big-endian byte strings, which sort bytewise in
+    canonical order, so a level's rows need no sort of their own. Each is
+    built on first use.
+    """
+
+    def __init__(self, levels: list[list[FrequentItemset]]) -> None:
+        self.levels = levels
+        self.itemsets = [fi.itemset for fi in chain.from_iterable(levels)]
+        self.supports = [fi.support for fi in chain.from_iterable(levels)]
+        #: first[k - 1] is the row of level k's first itemset.
+        self.first = list(accumulate(map(len, levels), initial=0))
+
+    @cached_property
+    def row_of(self) -> dict[Itemset, int]:
+        return {itemset: row for row, itemset in enumerate(self.itemsets)}
+
+    @cached_property
+    def matrices(self) -> list[np.ndarray]:
+        """Level k's itemsets as an ``n_k x k`` array, at index k - 1."""
+        return [
+            np.fromiter(
+                chain.from_iterable(self.itemsets[first:end]), np.int64, (end - first) * k
+            ).reshape(-1, k)
+            for k, first, end in zip(count(1), self.first, self.first[1:])
+        ]
+
+    @cached_property
+    def support_array(self) -> np.ndarray:
+        return np.array(self.supports, dtype=np.int64)
+
+    @cached_property
+    def _dtype(self) -> np.dtype:
+        # Ordinals index the database's item list, so they fit in int64; the
+        # narrowest unsigned type that holds them all keeps the keys short.
+        top = max((int(m.max()) for m in self.matrices if m.size), default=0)
+        return np.min_scalar_type(top).newbyteorder(">")
+
+    @cached_property
+    def _keys(self) -> list[np.ndarray]:
+        return list(map(self._bytes, self.matrices))
+
+    def _bytes(self, itemsets: np.ndarray) -> np.ndarray:
+        width = itemsets.shape[1] * self._dtype.itemsize
+        return itemsets.astype(self._dtype).view(f"V{width}").ravel()
+
+    def find(self, itemsets: np.ndarray) -> np.ndarray:
+        """The row of each canonical itemset of an ``n x j`` array."""
+        j = itemsets.shape[1]
+        keys, wanted = self._keys[j - 1], self._bytes(itemsets)
+        at = np.searchsorted(keys, wanted)
+        hit = at < len(keys)
+        hit[hit] = keys[at[hit]] == wanted[hit]
+        if not hit.all():
+            _not_downward_closed(tuple(itemsets[np.argmin(hit)].tolist()))
+        return at + self.first[j - 1]
+
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _limits(supports: np.ndarray, num: int, den: int) -> np.ndarray:
+    """``supp(Z) * den // num`` for each Z: supp(X) passes iff it is at most that."""
+    if int(supports.max(initial=0)) * den <= _INT64_MAX:
+        return supports * den // num
+    # Exact in Python ints. Every supp(X) fits in int64, so a limit past it
+    # passes them all, as the int64 maximum does.
+    return np.array([min(s * den // num, _INT64_MAX) for s in supports.tolist()], dtype=np.int64)
+
+
+def _picked(whole: np.ndarray, z: np.ndarray, mask: np.ndarray, size: int) -> np.ndarray:
+    """The ``size`` items at the set bits of ``mask[i]`` of ``whole[z[i]]``, row i for each i."""
+    chosen = (mask[:, None] >> np.arange(whole.shape[1])) & 1 == 1
+    return whole[z][chosen].reshape(-1, size)
+
+
+def _level_on_arrays(rows: _Rows, k: int, num: int, den: int) -> tuple[np.ndarray, int]:
+    """Level k's rules as ``(z, x, y)`` rows in canonical order, and their test count.
+
+    A consequent is a bitmask over the positions of its Z: bit p holds the
+    item ``Z[p]``. Each size's passing (Z, mask) pairs grow by every higher
+    position, and a grown mask is tested only if every mask one bit smaller
+    passed, found among the sorted ``z << k | mask`` keys of those that did.
+
+    The keys fit in int64: the one-item tests first find every Z's subsets
+    one item smaller, so by then the result holds Z's ``2^k - 1`` subsets,
+    and ``n_k * 2^k`` is below the square of its size.
+    """
+    whole = rows.matrices[k - 1]
+    first = rows.first[k - 1]
+    support = rows.support_array
+    limit = _limits(support[first : first + len(whole)], num, den)
+    # One-item consequents, position k - 1 first, so that each Z's
+    # antecedents come in canonical order (and a missing one is reported
+    # as the loop reports it).
+    high = np.tile(np.arange(k - 1, -1, -1), len(whole))
+    z = np.repeat(np.arange(len(whole)), k)
+    mask = 1 << high
+    kept = np.nonzero(~np.eye(k, dtype=bool)[::-1])[1].reshape(k, k - 1)
+    x = rows.find(whole[:, kept].reshape(-1, k - 1))
+    tests = len(x)
+    found = []
+    full = (1 << k) - 1
+    size = 1
+    while True:
+        ok = support[x] <= limit[z]
+        z, mask, high, x = z[ok], mask[ok], high[ok], x[ok]
+        found.append((z, x, rows.find(_picked(whole, z, mask, size))))
+        # A consequent of k - 1 items would leave its antecedent no room to shrink.
+        if size == k - 1 or len(z) < 2:
+            break
+        size += 1
+        passed = np.sort(z << k | mask)
+        # Join: each passing mask with every position above its highest.
+        counts = k - 1 - high
+        parent = np.repeat(np.arange(len(z)), counts)
+        high = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts - high - 1, counts)
+        z = z[parent]
+        mask = mask[parent] | 1 << high
+        # Prune: dropping the highest bit gives the parent, which passed.
+        key = z << k | mask
+        keep = np.ones(len(z), dtype=bool)
+        for p in range(k - 1):
+            smaller = np.flatnonzero((mask >> p & 1 == 1) & (high != p))
+            sub = key[smaller] ^ 1 << p
+            at = np.searchsorted(passed, sub)
+            hit = at < len(passed)
+            hit[hit] = passed[at[hit]] == sub[hit]
+            keep[smaller[~hit]] = False
+        z, mask, high = z[keep], mask[keep], high[keep]
+        x = rows.find(_picked(whole, z, full ^ mask, k - size))
+        tests += len(x)
+    z, x, y = map(np.concatenate, zip(*found))
+    # By Z, then antecedent: rows run by level, then canonical order.
+    order = np.lexsort((x, z))
+    return np.stack((z[order] + first, x[order], y[order]), axis=1), tests
+
+
+def _level_by_itemset(
+    rows: _Rows, k: int, num: int, den: int, found: list[tuple[int, int, int]]
+) -> int:
+    """``_level_on_arrays`` one Z at a time, appending its rows to ``found``.
+
+    Larger consequents are apriori-gen over the passing ones of each Z
+    (``generate_candidates``).
+    """
+    row_of, supports = rows.row_of, rows.supports
+    tests = 0
+    last = k - 1
+    for z, fi in enumerate(rows.levels[k - 1], rows.first[k - 1]):
+        whole = fi.itemset
+        # supp(X) * num <= supp(Z) * den  iff  supp(X) <= limit, in integers.
+        limit = fi.support * den // num
+        # The one-item consequents. combinations drops whole[-1] first and
+        # whole[0] last, so the antecedents come in canonical order and
+        # antecedents[j] is the one of consequent (whole[last - j],).
+        antecedents = list(combinations(whole, last))
+        xs = list(map(row_of.get, antecedents))
+        tests += last + 1
+        if None in xs:
+            _not_downward_closed(antecedents[xs.index(None)])
+        passing = [j for j, x in enumerate(xs) if supports[x] <= limit]
+        if len(passing) > 1 and last > 1:
+            # Larger consequents: apriori-gen over the passing consequents
+            # one item smaller, testing only its candidates.
+            antecedent_of = {(whole[last - j],): antecedents[j] for j in reversed(passing)}
+            by_size = []
+            width = last  # the antecedents' length at this size
+            # Stop once the antecedents are single items: a join would leave none.
+            while len(antecedent_of) > 1 and width > 1:
+                width -= 1
+                grown = {}
+                sized = []
+                candidates = generate_candidates(list(antecedent_of))
+                tests += len(candidates)
+                for consequent in candidates:
+                    # The antecedent of the consequent's head, less the added item.
+                    head_antecedent = antecedent_of[consequent[:-1]]
+                    j = head_antecedent.index(consequent[-1])
+                    antecedent = head_antecedent[:j] + head_antecedent[j + 1 :]
+                    # Recorded: head_antecedent is an itemset of a lower
+                    # level, so an earlier Z, whose one-item tests looked
+                    # this one up.
+                    x = row_of[antecedent]
+                    if supports[x] <= limit:
+                        grown[consequent] = antecedent
+                        sized.append((z, x, row_of[consequent]))
+                # Same-size complements come in reverse order: the
+                # consequents' canonical order is the antecedents' reversed.
+                sized.reverse()
+                by_size.append(sized)
+                antecedent_of = grown
+            # Larger consequents mean smaller antecedents: they come first.
+            for sized in reversed(by_size):
+                found += sized
+        found += [(z, xs[j], row_of[(whole[last - j],)]) for j in passing]
+    return tests
 
 
 def format_percent(value: Fraction | int) -> str:
@@ -187,7 +397,11 @@ def format_percent(value: Fraction | int) -> str:
     5/8 -> "62.5%", 7/9 -> "77.78%", 1 -> "100%". Computed in integers:
     ``floor(n/d * 10000 + 1/2) == (20000*n + d) // (2*d)``.
     """
-    n, d = value.numerator, value.denominator
+    return _percent(value.numerator, value.denominator)
+
+
+def _percent(n: int, d: int) -> str:
+    """``format_percent(Fraction(n, d))`` straight from the two integers."""
     hundredths = (20000 * n + d) // (2 * d)
     whole, rest = divmod(hundredths, 100)
     text = f"{whole}.{rest:02d}".rstrip("0").rstrip(".")

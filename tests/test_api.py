@@ -27,7 +27,7 @@ PERFBENCH = ROOT / "perfbench"
 
 PUBLIC = {
     "Database", "DuplicateTidError", "FrequentItemset", "MineResult", "MineStats",
-    "MiningError", "ParseError", "Rule", "RuleQuery", "SupportThreshold",
+    "MiningError", "ParseError", "Rule", "RuleQuery", "RuleSet", "SupportThreshold",
     "SyntheticSpec", "ThresholdError", "TradeList", "UnknownItemError",
     "format_percent", "generate_rules", "generate_synthetic", "mine", "mine_apriori",
     "parse_confidence", "parse_database", "parse_into", "remine", "write_database",

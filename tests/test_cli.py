@@ -1,13 +1,14 @@
 import random
 import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from basketmine.cli import BENCH_CSV_HEADER, format_freq_log, format_rules_log, main
 from basketmine.miner import FrequentItemset, MineResult, MineStats
 from basketmine.model import MiningError, UnknownItemError
-from basketmine.rules import Rule
+from basketmine.rules import Rule, RuleQuery, generate_rules
 
 from conftest import DATA, GOLDEN
 
@@ -554,36 +555,32 @@ class TestLogRendering:
         [((5,), (0,)), ((0,), (1, 5))],
     )
     def test_rules_log_rejects_an_unknown_ordinal(self, store9_db, antecedent, consequent):
-        rule = Rule(antecedent, consequent, 2, Fraction(1, 2))
+        # Every subset of X u Y at one support: every rule of it passes.
+        whole = tuple(sorted(antecedent + consequent))
+        levels = [
+            [FrequentItemset(itemset, 2) for itemset in combinations(whole, k)]
+            for k in range(1, len(whole) + 1)
+        ]
+        rules = generate_rules(MineResult(levels, MineStats(0)), RuleQuery(Fraction(1, 2)))
+        assert Rule(antecedent, consequent, 2, Fraction(1)) in rules
         with pytest.raises(UnknownItemError):
-            format_rules_log([rule], store9_db)
+            format_rules_log(rules, store9_db)
 
     def test_rules_log_renders_shared_and_equal_confidences(self, store9_db):
-        shared, equal = Fraction(2, 3), Fraction(4, 6)
-        assert shared == equal and shared is not equal
-        rules = [
-            Rule((0,), (1,), 2, shared),
-            Rule((1,), (2,), 2, Fraction(5, 8)),
-            Rule((0,), (2,), 2, shared),
-            Rule((2,), (0,), 2, equal),
-            Rule((1,), (0,), 2, Fraction(7, 9)),
-            Rule((2,), (1,), 2, Fraction(1)),
+        # I1->I2 and I1->I5 share the support pair (2, 3); I2->I5 has (4, 6),
+        # another pair of the same value 2/3.
+        levels = [
+            [FrequentItemset((0,), 3), FrequentItemset((1,), 6), FrequentItemset((2,), 5)],
+            [FrequentItemset((0, 1), 2), FrequentItemset((0, 2), 2), FrequentItemset((1, 2), 4)],
         ]
+        rules = generate_rules(MineResult(levels, MineStats(0)), RuleQuery(Fraction(1, 2)))
+        assert [rule.confidence for rule in rules] == [Fraction(2, 3)] * 3 + [Fraction(4, 5)]
         assert format_rules_log(rules, store9_db) == (
             "I1->I2 = 66.67%\n"
-            "I2->I5 = 62.5%\n"
             "I1->I5 = 66.67%\n"
-            "I5->I1 = 66.67%\n"
-            "I2->I1 = 77.78%\n"
-            "I5->I2 = 100%\n"
+            "I2->I5 = 66.67%\n"
+            "I5->I2 = 80%\n"
         )
-
-    def test_rules_log_renders_confidences_freed_as_it_goes(self, store9_db):
-        # Each rule and its confidence are dropped once rendered, so a later
-        # confidence may be built where an earlier one was.
-        rules = (Rule((0,), (1,), 2, Fraction(k, 10)) for k in range(1, 11))
-        expected = "".join(f"I1->I2 = {k * 10}%\n" for k in range(1, 11))
-        assert format_rules_log(rules, store9_db) == expected
 
     # (0, -1) rendered as "1-I1, I3" when only the least ordinal was checked.
     @pytest.mark.parametrize("itemset", [(-1,), (-1, 0), (0, -1)])

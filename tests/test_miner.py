@@ -192,6 +192,7 @@ class TestLevelwise:
             ((500, 25, 5, 9), 10, 25, True),  # 300 pairs
             ((600, 40, 5, 4), 20, 39, True),  # 741 pairs
         ],
+        ids=["400,12,4,2", "500,20,5,9", "500,25,5,9", "600,40,5,4"],
     )
     def test_mine_equals_apriori_and_both_growers(self, spec, minsupp, m, levelwise):
         db = generate_synthetic(SyntheticSpec(*spec))

@@ -1,6 +1,8 @@
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import floor
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from basketmine.ingest import SyntheticSpec, generate_synthetic
 from basketmine.miner import FrequentItemset, MineResult, MineStats, mine
+from basketmine import rules as rules_module
 from basketmine.model import MiningError, ThresholdError
 from basketmine.rules import (
     Rule,
@@ -20,6 +23,37 @@ from basketmine.rules import (
 from basketmine.tradelist import TradeList
 
 from oracles import brute_rules, brute_tidset, db_from_rows, db_rows
+
+#: ARRAY_MIN_ITEMSETS values that send every level to the array path, then
+#: every level to the loop over each Z.
+CROSSOVERS = (0, sys.maxsize)
+
+
+def rules_on_both_paths(result, query):
+    """The rules as a list, checked equal, with equal test counts, on both paths."""
+    found = []
+    for crossover in CROSSOVERS:
+        with mock.patch.object(rules_module, "ARRAY_MIN_ITEMSETS", crossover):
+            found.append(generate_rules(result, query))
+    arrays, loop = found
+    assert list(arrays) == list(loop)
+    assert arrays.confidence_tests == loop.confidence_tests
+    return list(loop)
+
+
+def assert_same_error_on_both_paths(result, query):
+    messages = []
+    for crossover in CROSSOVERS:
+        with mock.patch.object(rules_module, "ARRAY_MIN_ITEMSETS", crossover):
+            with pytest.raises(MiningError, match="downward-closed") as caught:
+                generate_rules(result, query)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+
+
+def deep_result():
+    """Itemsets up to size 7 over 20 items, with levels on both sides of the crossover."""
+    return mine(TradeList.build(generate_synthetic(SyntheticSpec(200, 20, 6, 7))), 4)
 
 
 class TestConfidence:
@@ -84,19 +118,19 @@ class TestGenerateRules:
     def test_store9_six_rules_at_07(self, store9_db):
         result = mine(TradeList.build(store9_db), 2)
         rules = generate_rules(result, RuleQuery(Fraction(7, 10)))
-        assert rules == self.expected_store9_rules(store9_db)
+        assert list(rules) == self.expected_store9_rules(store9_db)
 
     @pytest.mark.parametrize("minconf", [0.7, "0.7", "7/10"])
     def test_query_from_a_float_or_a_string(self, store9_db, minconf):
         # A float once reached generate_rules unconverted and raised AttributeError.
         result = mine(TradeList.build(store9_db), 2)
         rules = generate_rules(result, RuleQuery(minconf))
-        assert rules == self.expected_store9_rules(store9_db)
+        assert list(rules) == self.expected_store9_rules(store9_db)
 
     def test_minconf_one_keeps_exact_implications(self, store9_db):
         result = mine(TradeList.build(store9_db), 2)
         rules = generate_rules(result, RuleQuery(Fraction(1)))
-        assert rules == self.expected_store9_rules(store9_db)
+        assert list(rules) == self.expected_store9_rules(store9_db)
         assert all(rule.confidence == 1 for rule in rules)
 
     def test_exact_boundary_two_thirds(self, store9_db):
@@ -138,8 +172,7 @@ class TestGenerateRules:
             ],
             stats=MineStats(raw_passes=0),
         )
-        with pytest.raises(MiningError, match="downward-closed"):
-            generate_rules(broken, RuleQuery(Fraction(1, 2)))
+        assert_same_error_on_both_paths(broken, RuleQuery(Fraction(1, 2)))
 
     def test_missing_two_item_antecedent_is_an_internal_error(self):
         broken = MineResult(
@@ -150,8 +183,16 @@ class TestGenerateRules:
             ],
             stats=MineStats(raw_passes=0),
         )
-        with pytest.raises(MiningError, match="downward-closed"):
-            generate_rules(broken, RuleQuery(Fraction(1, 2)))
+        assert_same_error_on_both_paths(broken, RuleQuery(Fraction(1, 2)))
+
+    def test_itemset_too_large_for_mask_keys_fails_its_lookups_first(self):
+        # z << 63 | mask keys would overflow int64, but a result holding a
+        # 63-itemset would need its 2^63 - 1 subsets: the one-item tests,
+        # made before any key, find them missing.
+        whole = tuple(range(63))
+        levels = [[FrequentItemset((i,), 2) for i in whole]] + [[] for _ in range(61)]
+        broken = MineResult(levels + [[FrequentItemset(whole, 2)]], MineStats(raw_passes=0))
+        assert_same_error_on_both_paths(broken, RuleQuery(Fraction(1, 2)))
 
     @settings(deadline=None, max_examples=150)
     @given(rows=db_rows(max_tx=12, max_items=8), minsupp=st.integers(1, 3), data=st.data())
@@ -171,19 +212,44 @@ class TestGenerateRules:
         if exact:
             choices.append(st.sampled_from(exact))
         minconf = data.draw(st.one_of(choices), label="minconf")
-        assert generate_rules(result, RuleQuery(minconf)) == brute_rules(result, minconf)
+        assert rules_on_both_paths(result, RuleQuery(minconf)) == brute_rules(result, minconf)
 
     @pytest.mark.parametrize("minconf", ["0.3", "0.5", "0.7", "0.9", "1"])
     def test_deep_itemsets_match_every_antecedent_tried(self, minconf):
         # Itemsets up to size 7, so consequents grow over several sizes.
-        db = generate_synthetic(SyntheticSpec(200, 20, 6, 7))
-        result = mine(TradeList.build(db), 4)
+        result = deep_result()
         assert len(result.levels) == 7
         expected = brute_rules(result, Fraction(minconf))
-        assert generate_rules(result, RuleQuery(Fraction(minconf))) == expected
+        assert rules_on_both_paths(result, RuleQuery(Fraction(minconf))) == expected
 
     @pytest.mark.parametrize(
-        "minconf,lookups,n_rules",
+        "minconf", [Fraction(1, 10**30), Fraction(10**30 - 1, 10**30)], ids=["1e-30", "1-1e-30"]
+    )
+    def test_denominators_past_int64_stay_exact(self, minconf):
+        # supp(Z) * den overflows int64 here, and the threshold is within
+        # 10^-30 of 0 or 1: only exact integers tell the rules apart.
+        result = deep_result()
+        expected = brute_rules(result, minconf)
+        assert rules_on_both_paths(result, RuleQuery(minconf)) == expected
+        assert expected
+
+    @pytest.mark.parametrize("first", [65_500, 2**40])
+    def test_wide_item_ordinals(self, first):
+        # Ordinals of 65,536 or more take wider search keys; spacing them
+        # keeps every itemset canonical.
+        result = deep_result()
+        widened = [
+            [FrequentItemset(tuple(first + 3 * i for i in fi.itemset), fi.support) for fi in level]
+            for level in result.levels
+        ]
+        wide = MineResult(widened, result.stats)
+        query = RuleQuery(Fraction(7, 10))
+        expected = brute_rules(wide, query.min_confidence)
+        assert rules_on_both_paths(wide, query) == expected
+        assert len(expected) == len(generate_rules(result, query))
+
+    @pytest.mark.parametrize(
+        "minconf,confidence_tests,n_rules",
         [
             ("3/10", 18853, 13211),
             ("1/2", 12866, 7425),
@@ -191,36 +257,18 @@ class TestGenerateRules:
             ("9/10", 7979, 1505),
             ("1", 7956, 1351),
         ],
+        ids=["3/10", "1/2", "7/10", "9/10", "1"],
     )
-    def test_deep_itemsets_confidence_tests_pinned(self, monkeypatch, minconf, lookups, n_rules):
+    def test_deep_itemsets_confidence_tests_pinned(self, minconf, confidence_tests, n_rules):
         # Each confidence test looks one antecedent's support up. Growing
         # consequents tests the one-item ones of every Z, then only joins
         # whose every subset one item smaller passed: a weaker prune, or
         # none, makes more tests for the same rules.
-        db = generate_synthetic(SyntheticSpec(200, 20, 6, 7))
-        result = mine(TradeList.build(db), 4)
-
-        class CountingDict(dict):
-            calls = 0
-
-            def get(self, key, default=None):
-                self.calls += 1
-                return super().get(key, default)
-
-            def __getitem__(self, key):
-                self.calls += 1
-                return super().__getitem__(key)
-
-        maps = []
-
-        def counting_support_map(self):
-            maps.append(CountingDict(support_map(self)))
-            return maps[-1]
-
-        support_map = MineResult.support_map
-        monkeypatch.setattr(MineResult, "support_map", counting_support_map)
-        rules = generate_rules(result, RuleQuery(Fraction(minconf)))
-        assert (len(rules), sum(m.calls for m in maps)) == (n_rules, lookups)
+        result = deep_result()
+        for crossover in CROSSOVERS:
+            with mock.patch.object(rules_module, "ARRAY_MIN_ITEMSETS", crossover):
+                rules = generate_rules(result, RuleQuery(Fraction(minconf)))
+            assert (len(rules), rules.confidence_tests) == (n_rules, confidence_tests)
 
     @settings(deadline=None, max_examples=50)
     @given(rows=db_rows(max_tx=10, max_items=6), minsupp=st.integers(1, 3))
