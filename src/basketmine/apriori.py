@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .miner import FrequentItemset, MineResult, MineStats, _frequent_itemset
+from .miner import MineResult, MineStats
 from .model import (
     Database,
     Itemset,
@@ -138,30 +138,25 @@ def mine_apriori(db: Database, threshold: SupportThreshold | int) -> MineResult:
     for _, items in _row_blocks(db.transactions, 1):
         item_counts += np.bincount(items, minlength=len(db.items))
         checks += len(items)
-    current = [
-        _frequent_itemset((item,), count)
-        for item, count in enumerate(item_counts.tolist())
-        if count >= minsupp
-    ]
-
-    levels: list[list[FrequentItemset]] = []
-    while current:
-        levels.append(current)
-        candidates = generate_candidates([fi.itemset for fi in current])
+    frequent = np.flatnonzero(item_counts >= minsupp)
+    level, counts = frequent[:, None], item_counts[frequent]
+    levels = []
+    while len(level):
+        levels.append((level, counts))
+        candidates = generate_candidates(list(map(tuple, level.tolist())))
         if not candidates:
             break
         # Each candidate level is one more pass, charged one check per
         # (transaction, candidate) pair.
         raw_passes += 1
         checks += len(candidates) * db.n_transactions
-        current = [
-            _frequent_itemset(itemset, count)
-            for itemset, count in zip(candidates, count_support(db, candidates))
-            if count >= minsupp
-        ]
+        counts = np.array(count_support(db, candidates), dtype=np.int64)
+        kept = counts >= minsupp
+        # Joined from canonical itemsets, the candidates are canonical.
+        level, counts = np.array(candidates, dtype=np.int64)[kept], counts[kept]
     stats = MineStats(
         raw_passes=raw_passes,
         containment_checks=checks,
         elapsed_s=time.perf_counter() - start,
     )
-    return MineResult(levels, stats)
+    return MineResult._of(levels, stats)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from itertools import chain, islice
 from pathlib import Path
 from statistics import median
 from typing import Callable, NoReturn, TypeVar
@@ -46,10 +47,10 @@ def format_freq_log(result: MineResult, db: Database) -> str:
     label = db.items.label_getter()
     lines = []
     try:
-        for row, fi in enumerate(result, 1):
-            lines.append(f"{row}-{', '.join(map(label, fi.itemset))}\n")
+        for row, itemset in enumerate(chain.from_iterable(m.tolist() for m in result.itemsets), 1):
+            lines.append(f"{row}-{', '.join(map(label, itemset))}\n")
     except IndexError:
-        _unknown(fi)
+        _unknown(next(islice(result, len(lines), None)))
     return "".join(lines)
 
 
@@ -125,7 +126,7 @@ def _run_miner(db: Database, threshold: SupportThreshold) -> tuple[MineResult, i
 
 
 def _print_mine_summary(result: MineResult, raw_passes: int) -> None:
-    per_level = ", ".join(f"L{k}={len(level)}" for k, level in enumerate(result.levels, 1))
+    per_level = ", ".join(f"L{k}={len(level)}" for k, level in enumerate(result.supports, 1))
     suffix = f" ({per_level})" if per_level else ""
     print(f"frequent itemsets: {result.n_itemsets}{suffix}")
     stats = result.stats

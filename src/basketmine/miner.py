@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain, starmap
+from itertools import starmap, zip_longest
 from typing import Iterator
 
 import numpy as np
 
-from .model import Itemset, SupportThreshold, _check_itemset, resolve_threshold
+from .model import Itemset, MiningError, SupportThreshold, _check_itemset, resolve_threshold
 from .tradelist import TradeList
 
 __all__ = ["FrequentItemset", "MineResult", "MineStats", "mine", "remine"]
@@ -45,21 +45,6 @@ class FrequentItemset:
 
     def __post_init__(self) -> None:
         _check_itemset(self.itemset, "frequent itemset")
-
-
-# mine and mine_apriori build each FrequentItemset through its slots' own
-# setters, which get past the frozen __setattr__ and the check: their
-# itemsets are canonical.
-_new_object = object.__new__
-_set_itemset = FrequentItemset.__dict__["itemset"].__set__
-_set_support = FrequentItemset.__dict__["support"].__set__
-
-
-def _frequent_itemset(itemset: Itemset, support: int) -> FrequentItemset:
-    fi = _new_object(FrequentItemset)
-    _set_itemset(fi, itemset)
-    _set_support(fi, support)
-    return fi
 
 
 @dataclass(frozen=True)
@@ -87,37 +72,73 @@ class MineStats:
         return self.intersections + self.containment_checks
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class MineResult:
     """Frequent itemsets grouped by size, in canonical order, plus stats.
 
-    ``levels[k-1]`` holds the k-itemsets; every level list is sorted by the
-    canonical (ascending item ordinal) tuple, so two correct miners produce
-    identical results object-for-object.
+    ``itemsets[k-1]`` is an ``n_k x k`` int64 array of the k-itemsets, each
+    row's ordinals ascending and the rows in canonical order, and
+    ``supports[k-1]`` their supports. Records (iterating, ``levels``,
+    ``level(k)``) are built when read, with their checked constructor.
+
+    The constructor reads integer arrays as int64 and rejects a level that is
+    not ``n x k`` with ``n`` supports, or a row that is not strictly
+    increasing ordinals >= 0. The miners skip the check (``_of``).
     """
 
-    levels: list[list[FrequentItemset]]
+    itemsets: list[np.ndarray]
+    supports: list[np.ndarray]
     stats: MineStats
 
+    def __post_init__(self) -> None:
+        for k, (level, support) in enumerate(zip_longest(self.itemsets, self.supports), 1):
+            if not (
+                all(isinstance(a, np.ndarray) and a.dtype.kind in "iu" for a in (level, support))
+                and level.shape[1:] == (k,)
+                and support.shape == level.shape[:1]
+            ):
+                raise MiningError(f"level {k} is not n x {k} integer itemsets with n supports")
+        self.itemsets = [level.astype(np.int64) for level in self.itemsets]
+        self.supports = [support.astype(np.int64) for support in self.supports]
+        list(self)  # each record checks its row, and an unsigned ordinal past int64 is negative
+
+    @classmethod
+    def _of(cls, levels: list[tuple[np.ndarray, np.ndarray]], stats: MineStats) -> MineResult:
+        """The result of each level's canonical (itemsets, supports), unchecked."""
+        result = object.__new__(cls)
+        result.itemsets = [itemsets for itemsets, _ in levels]
+        result.supports = [supports for _, supports in levels]
+        result.stats = stats
+        return result
+
     def __iter__(self) -> Iterator[FrequentItemset]:
-        return chain.from_iterable(self.levels)
+        return starmap(FrequentItemset, self._pairs())
+
+    def _pairs(self) -> Iterator[tuple[Itemset, int]]:
+        for level, support in zip(self.itemsets, self.supports):
+            yield from zip(map(tuple, level.tolist()), support.tolist())
+
+    @property
+    def levels(self) -> list[list[FrequentItemset]]:
+        return list(map(self.level, range(1, len(self.itemsets) + 1)))
 
     @property
     def n_itemsets(self) -> int:
-        return sum(len(level) for level in self.levels)
+        return sum(map(len, self.supports))
 
     def level(self, k: int) -> list[FrequentItemset]:
         """The frequent k-itemsets (empty list if the result has no level k)."""
-        if 1 <= k <= len(self.levels):
-            return self.levels[k - 1]
+        if 1 <= k <= len(self.itemsets):
+            itemsets = map(tuple, self.itemsets[k - 1].tolist())
+            return list(map(FrequentItemset, itemsets, self.supports[k - 1].tolist()))
         return []
 
     def pairs(self) -> set[tuple[Itemset, int]]:
         """The result as a set of (itemset, support) pairs, for equality checks."""
-        return {(fi.itemset, fi.support) for fi in self}
+        return set(self._pairs())
 
     def support_map(self) -> dict[Itemset, int]:
-        return {fi.itemset: fi.support for fi in self}
+        return dict(self._pairs())
 
 
 #: ``mine`` counts each level's candidates in one numpy pass once the frequent
@@ -142,10 +163,7 @@ def mine(tl: TradeList, threshold: SupportThreshold | int) -> MineResult:
     minsupp = resolve_threshold(threshold, tl.n_transactions)
     supports = tl.supports()
     frequent = np.flatnonzero(supports >= minsupp)
-    levels: list[list[FrequentItemset]] = []
-    if len(frequent):
-        singles = zip(((i,) for i in frequent.tolist()), supports[frequent].tolist())
-        levels.append(list(starmap(_frequent_itemset, singles)))
+    levels = [(frequent[:, None], supports[frequent])] if len(frequent) else []
     # Stable, so equal supports keep ascending item order.
     order = frequent[np.argsort(supports[frequent], kind="stable")].tolist()
     n_intersections = 0
@@ -162,19 +180,29 @@ def mine(tl: TradeList, threshold: SupportThreshold | int) -> MineResult:
         bitmap_tids=tl.bitmap_tids - tids_before,
         elapsed_s=time.perf_counter() - start,
     )
-    return MineResult(levels, stats)
+    return MineResult._of(levels, stats)
 
 
 # Both growers take the frequent items in ascending-support order with their
 # bitmaps, and extend every frequent itemset with each item after its last
 # one in that order: they test the same candidates, one intersection each,
-# and return the levels from 2 up in canonical order with that count.
+# and return the levels from 2 up, each packed by _canonical, and that count.
+
+def _canonical(itemsets: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A level's new rows, each sorted in place, then in canonical order."""
+    itemsets.sort(axis=1)
+    if len(itemsets) < 2:  # in order already; a small re-mine often ends in one such level
+        return itemsets, supports
+    rank = np.lexsort(itemsets.T[::-1])
+    return itemsets[rank], supports[rank]
+
 
 def _depth_first(
     order: list[int], bitmaps: list[int], minsupp: int
-) -> tuple[list[list[FrequentItemset]], int]:
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], int]:
     """Extend one prefix at a time, pruning an infrequent one's whole subtree."""
-    found: list[tuple[Itemset, int]] = []
+    # Each frequent itemset found, its support appended, by its size.
+    found: dict[int, list[tuple[int, ...]]] = {}
     n_intersections = 0
 
     def extend(prefix: Itemset, prefix_bits: int, rest: list[tuple[int, int]]) -> None:
@@ -185,26 +213,19 @@ def _depth_first(
             support = common.bit_count()
             if support >= minsupp:
                 grown = prefix + (item,)
-                found.append((grown, support))
+                found.setdefault(len(grown), []).append(grown + (support,))
                 extend(grown, common, rest[q + 1 :])
 
     entries = list(zip(order, bitmaps))
     for p, (item, bits) in enumerate(entries):
         extend((item,), bits, entries[p + 1 :])
-
-    by_level: dict[int, list[tuple[Itemset, int]]] = {}
-    for itemset, support in found:
-        by_level.setdefault(len(itemset), []).append((tuple(sorted(itemset)), support))
-    # Canonical itemsets are distinct, so sorting the pairs sorts by itemset.
-    levels = [
-        list(starmap(_frequent_itemset, sorted(by_level[k]))) for k in sorted(by_level)
-    ]
-    return levels, n_intersections
+    levels = [np.array(found[k], dtype=np.int64) for k in sorted(found)]
+    return [_canonical(level[:, :-1], level[:, -1]) for level in levels], n_intersections
 
 
 def _levelwise(
     order: list[int], bitmaps: list[int], minsupp: int
-) -> tuple[list[list[FrequentItemset]], int]:
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], int]:
     """Count a whole level's candidates at once on a ``uint64`` bitmap matrix.
 
     Row i of the item matrix is ``bitmaps[i]``; a level's frequent itemsets
@@ -216,12 +237,12 @@ def _levelwise(
     matrix = b"".join(bits.to_bytes(n_bytes, "little") for bits in bitmaps)
     items = np.frombuffer(matrix, dtype="<u8").reshape(m, -1)
     block = max(1, _BLOCK_WORDS // items.shape[1])
-    item_of = np.array(order, dtype=np.intp)
+    item_of = np.array(order, dtype=np.int64)
     # The current level: each itemset's ANDed row, the position in ``order``
     # of its last item, and the positions of all its items.
     rows, last = items, np.arange(m)
     paths = last[:, None]
-    levels: list[list[FrequentItemset]] = []
+    levels = []
     n_intersections = 0
     while True:
         # Candidate c extends itemset parent[c] with the item at position
@@ -248,11 +269,8 @@ def _levelwise(
         del found
         last = at[kept]
         paths = np.concatenate((paths[parent[kept]], last[:, None]), axis=1)
-        itemsets = np.sort(item_of[paths], axis=1)
-        rank = np.lexsort(itemsets.T[::-1])
-        level = zip(map(tuple, itemsets[rank].tolist()), supports[rank].tolist())
-        levels.append(list(starmap(_frequent_itemset, level)))
-        del parent, at, kept, itemsets, rank
+        levels.append(_canonical(item_of[paths], supports.astype(np.int64)))
+        del parent, at, kept
     return levels, n_intersections
 
 

@@ -20,10 +20,10 @@ the failures on their border, not the ``2^|Z| - 2`` antecedents of each Z.
 
 A level of at least ``ARRAY_MIN_ITEMSETS`` itemsets is searched a
 consequent size at a time for all of its Z at once, on numpy arrays; a
-smaller one, Z by Z (``apriori.generate_candidates`` is its join). Both
-paths make the same tests and write the same rows. The result is a
-:class:`RuleSet`, which holds each rule as three rows of the mining result
-and builds ``Rule`` records only when it is read.
+smaller one, Z by Z (``apriori.generate_candidates`` is its join). Both read
+the mining result's level arrays, make the same tests and write the same
+rows. The result is a :class:`RuleSet`: it holds each rule as three rows of
+the mining result and builds ``Rule`` records only when it is read.
 """
 
 from __future__ import annotations
@@ -32,13 +32,13 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, combinations, count
+from itertools import accumulate, chain, combinations
 from typing import Iterator, NoReturn
 
 import numpy as np
 
 from .apriori import generate_candidates
-from .miner import FrequentItemset, MineResult
+from .miner import MineResult
 from .model import Itemset, MiningError, ThresholdError, _check_itemset, _exact_fraction
 
 __all__ = [
@@ -159,13 +159,13 @@ def generate_rules(frequents: MineResult, query: RuleQuery) -> RuleSet:
     guarantees; a missing antecedent support is therefore an internal error,
     not a data condition.
     """
-    rows = _Rows(frequents.levels)
+    rows = _Rows(frequents)
     num = query.min_confidence.numerator
     den = query.min_confidence.denominator
     found: list[np.ndarray] = []
     looped: list[tuple[int, int, int]] = []  # found Z by Z since the last array level
     tests = 0
-    for k, level in enumerate(frequents.levels[1:], 2):
+    for k, level in enumerate(frequents.supports[1:], 2):
         if len(level) >= ARRAY_MIN_ITEMSETS:
             found.append(_sides(looped))
             looped = []
@@ -190,64 +190,50 @@ def _not_downward_closed(antecedent: Itemset) -> NoReturn:
 
 
 class _Rows:
-    """A mining result's itemsets by row, and each itemset's row.
+    """A mining result's itemsets and supports by row, and each itemset's row.
 
-    The loop looks rows up in a dict. The array path searches each level's
-    rows as fixed-width big-endian byte strings, which sort bytewise in
-    canonical order, so a level's rows need no sort of their own. Each is
-    built on first use.
+    Row r is the result's r-th itemset in iteration order. The loop looks
+    rows up in a dict. The array path searches each of the result's level
+    arrays as fixed-width big-endian byte strings, which sort bytewise in
+    canonical order, so a level needs no sort of its own. Each is built on
+    first use.
     """
 
-    def __init__(self, levels: list[list[FrequentItemset]]) -> None:
-        self.levels = levels
-        self.itemsets = [fi.itemset for fi in chain.from_iterable(levels)]
-        self.supports = [fi.support for fi in chain.from_iterable(levels)]
+    def __init__(self, result: MineResult) -> None:
+        self.result = result
+        self.itemsets = list(map(tuple, chain.from_iterable(m.tolist() for m in result.itemsets)))
+        self.supports = list(chain.from_iterable(s.tolist() for s in result.supports))
         #: first[k - 1] is the row of level k's first itemset.
-        self.first = list(accumulate(map(len, levels), initial=0))
+        self.first = list(accumulate(map(len, result.supports), initial=0))
 
     @cached_property
     def row_of(self) -> dict[Itemset, int]:
         return {itemset: row for row, itemset in enumerate(self.itemsets)}
 
     @cached_property
-    def matrices(self) -> list[np.ndarray]:
-        """Level k's itemsets as an ``n_k x k`` array, at index k - 1."""
-        return [
-            np.fromiter(
-                chain.from_iterable(self.itemsets[first:end]), np.int64, (end - first) * k
-            ).reshape(-1, k)
-            for k, first, end in zip(count(1), self.first, self.first[1:])
-        ]
-
-    @cached_property
-    def support_array(self) -> np.ndarray:
-        return np.array(self.supports, dtype=np.int64)
-
-    @cached_property
     def _dtype(self) -> np.dtype:
         # Ordinals index the database's item list, so they fit in int64; the
         # narrowest unsigned type that holds them all keeps the keys short.
-        top = max((int(m.max()) for m in self.matrices if m.size), default=0)
+        top = max((int(m.max()) for m in self.result.itemsets if m.size), default=0)
         return np.min_scalar_type(top).newbyteorder(">")
 
     @cached_property
     def _keys(self) -> list[np.ndarray]:
-        return list(map(self._bytes, self.matrices))
+        return list(map(self._bytes, self.result.itemsets))
 
     def _bytes(self, itemsets: np.ndarray) -> np.ndarray:
         width = itemsets.shape[1] * self._dtype.itemsize
         return itemsets.astype(self._dtype).view(f"V{width}").ravel()
 
     def find(self, itemsets: np.ndarray) -> np.ndarray:
-        """The row of each canonical itemset of an ``n x j`` array."""
-        j = itemsets.shape[1]
-        keys, wanted = self._keys[j - 1], self._bytes(itemsets)
+        """The index in its level of each canonical itemset of an ``n x j`` array."""
+        keys, wanted = self._keys[itemsets.shape[1] - 1], self._bytes(itemsets)
         at = np.searchsorted(keys, wanted)
         hit = at < len(keys)
         hit[hit] = keys[at[hit]] == wanted[hit]
         if not hit.all():
             _not_downward_closed(tuple(itemsets[np.argmin(hit)].tolist()))
-        return at + self.first[j - 1]
+        return at
 
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -280,10 +266,9 @@ def _level_on_arrays(rows: _Rows, k: int, num: int, den: int) -> tuple[np.ndarra
     one item smaller, so by then the result holds Z's ``2^k - 1`` subsets,
     and ``n_k * 2^k`` is below the square of its size.
     """
-    whole = rows.matrices[k - 1]
-    first = rows.first[k - 1]
-    support = rows.support_array
-    limit = _limits(support[first : first + len(whole)], num, den)
+    whole = rows.result.itemsets[k - 1]
+    supports, first = rows.result.supports, rows.first
+    limit = _limits(supports[k - 1], num, den)
     # One-item consequents, position k - 1 first, so that each Z's
     # antecedents come in canonical order (and a missing one is reported
     # as the loop reports it).
@@ -297,9 +282,10 @@ def _level_on_arrays(rows: _Rows, k: int, num: int, den: int) -> tuple[np.ndarra
     full = (1 << k) - 1
     size = 1
     while True:
-        ok = support[x] <= limit[z]
+        ok = supports[k - size - 1][x] <= limit[z]
         z, mask, high, x = z[ok], mask[ok], high[ok], x[ok]
-        found.append((z, x, rows.find(_picked(whole, z, mask, size))))
+        y = rows.find(_picked(whole, z, mask, size))
+        found.append((z, x + first[k - size - 1], y + first[size - 1]))
         # A consequent of k - 1 items would leave its antecedent no room to shrink.
         if size == k - 1 or len(z) < 2:
             break
@@ -327,7 +313,7 @@ def _level_on_arrays(rows: _Rows, k: int, num: int, den: int) -> tuple[np.ndarra
     z, x, y = map(np.concatenate, zip(*found))
     # By Z, then antecedent: rows run by level, then canonical order.
     order = np.lexsort((x, z))
-    return np.stack((z[order] + first, x[order], y[order]), axis=1), tests
+    return np.stack((z[order] + first[k - 1], x[order], y[order]), axis=1), tests
 
 
 def _level_by_itemset(
@@ -338,13 +324,13 @@ def _level_by_itemset(
     Larger consequents are apriori-gen over the passing ones of each Z
     (``generate_candidates``).
     """
-    row_of, supports = rows.row_of, rows.supports
+    row_of, itemsets, supports = rows.row_of, rows.itemsets, rows.supports
     tests = 0
     last = k - 1
-    for z, fi in enumerate(rows.levels[k - 1], rows.first[k - 1]):
-        whole = fi.itemset
+    for z in range(rows.first[k - 1], rows.first[k]):
+        whole = itemsets[z]
         # supp(X) * num <= supp(Z) * den  iff  supp(X) <= limit, in integers.
-        limit = fi.support * den // num
+        limit = supports[z] * den // num
         # The one-item consequents. combinations drops whole[-1] first and
         # whole[0] last, so the antecedents come in canonical order and
         # antecedents[j] is the one of consequent (whole[last - j],).

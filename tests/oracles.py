@@ -8,8 +8,10 @@ code with the miners and the rule generator it is used to check.
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 from hypothesis import strategies as st
 
+from basketmine.miner import MineResult, MineStats
 from basketmine.model import Database
 from basketmine.rules import Rule
 
@@ -51,6 +53,19 @@ def brute_frequents(db, minsupp):
         for itemset, support in brute_support_map(db).items()
         if support >= minsupp
     }
+
+
+def packed(levels, stats=MineStats(raw_passes=0)):
+    """A ``MineResult`` of lists of ``FrequentItemset``, level k at index k - 1.
+
+    It goes through the checked constructor, as a hand-built result must.
+    """
+    itemsets = [
+        np.array([fi.itemset for fi in level], dtype=np.int64).reshape(-1, k)
+        for k, level in enumerate(levels, 1)
+    ]
+    supports = [np.array([fi.support for fi in level], dtype=np.int64) for level in levels]
+    return MineResult(itemsets, supports, stats)
 
 
 def brute_rules(frequents, min_confidence):

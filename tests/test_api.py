@@ -102,6 +102,25 @@ def test_benchmark_reads_only_interner_attributes():
     assert missing == []
 
 
+#: What the harness reads of a mining result, and of one of its records.
+RESULT_READS = {"levels", "level", "n_itemsets", "pairs", "stats"}
+RECORD_READS = {"itemset", "support"}
+
+
+def test_benchmark_reads_of_a_result_are_pinned(store9_db):
+    read = {
+        node.attr
+        for path in sorted(PERFBENCH.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+    }
+    assert RESULT_READS | RECORD_READS <= read
+    result = mine(TradeList.build(store9_db), 2)
+    assert all(hasattr(result, name) for name in RESULT_READS)
+    (record, *_) = result
+    assert all(hasattr(record, name) for name in RECORD_READS)
+
+
 @pytest.mark.parametrize("module", ["basketmine", *sorted(f"basketmine.{m}" for m in SUBMODULES)])
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -6,11 +7,12 @@ from itertools import combinations
 import pytest
 
 from basketmine.cli import BENCH_CSV_HEADER, format_freq_log, format_rules_log, main
-from basketmine.miner import FrequentItemset, MineResult, MineStats
+from basketmine.miner import FrequentItemset
 from basketmine.model import MiningError, UnknownItemError
 from basketmine.rules import Rule, RuleQuery, generate_rules
 
 from conftest import DATA, GOLDEN
+from oracles import packed
 
 STORE9 = DATA / "store9.txt"
 STORE10 = DATA / "store10.txt"
@@ -546,7 +548,8 @@ class TestLogRendering:
     @pytest.mark.parametrize("itemset", [(5,), (0, 5)])
     def test_freq_log_rejects_an_unknown_ordinal(self, store9_db, itemset):
         assert len(store9_db.items) == 5
-        result = MineResult([[FrequentItemset(itemset, 2)]], MineStats(0))
+        # A level of the itemset's width alone; the levels below it stay empty.
+        result = packed([[] for _ in itemset[1:]] + [[FrequentItemset(itemset, 2)]])
         with pytest.raises(UnknownItemError):
             format_freq_log(result, store9_db)
 
@@ -561,7 +564,7 @@ class TestLogRendering:
             [FrequentItemset(itemset, 2) for itemset in combinations(whole, k)]
             for k in range(1, len(whole) + 1)
         ]
-        rules = generate_rules(MineResult(levels, MineStats(0)), RuleQuery(Fraction(1, 2)))
+        rules = generate_rules(packed(levels), RuleQuery(Fraction(1, 2)))
         assert Rule(antecedent, consequent, 2, Fraction(1)) in rules
         with pytest.raises(UnknownItemError):
             format_rules_log(rules, store9_db)
@@ -573,7 +576,7 @@ class TestLogRendering:
             [FrequentItemset((0,), 3), FrequentItemset((1,), 6), FrequentItemset((2,), 5)],
             [FrequentItemset((0, 1), 2), FrequentItemset((0, 2), 2), FrequentItemset((1, 2), 4)],
         ]
-        rules = generate_rules(MineResult(levels, MineStats(0)), RuleQuery(Fraction(1, 2)))
+        rules = generate_rules(packed(levels), RuleQuery(Fraction(1, 2)))
         assert [rule.confidence for rule in rules] == [Fraction(2, 3)] * 3 + [Fraction(4, 5)]
         assert format_rules_log(rules, store9_db) == (
             "I1->I2 = 66.67%\n"
@@ -621,6 +624,69 @@ def test_logs_are_reproducible(tmp_path, capsys):
             capsys,
         )
     assert a.read_bytes() == b.read_bytes()
+
+
+#: A synthetic input whose 95 frequent items send mining to the level-wise
+#: grower and whose rules take both rule paths.
+LEVELWISE = ["--synthetic", "3000,200,20,2", "--minsupp-frac", "0.05"]
+
+
+# sha256 of the freq log and of the conf log at 50%, recorded before the
+# mining result held its levels as arrays.
+@pytest.mark.parametrize(
+    "source,summary,freq_sha256,conf_sha256",
+    [
+        (
+            LEVELWISE,
+            "frequent itemsets: 6832 (L1=95, L2=661, L3=1763, L4=2254, L5=1491, L6=504, L7=63, L8=1)",
+            "bfe650cadd2b21447a7c50679689dd640c76c259a315ed7a155ee69e6c2f4d7e",
+            "d7483bb601076771b291f501bc2e272476840a452aae370cc2955b7f6a5ca7d4",
+        ),
+        (
+            ["--synthetic", "2000,60,6,3", "--minsupp-frac", "0.07"],  # 21 items: depth-first
+            "frequent itemsets: 69 (L1=21, L2=34, L3=13, L4=1)",
+            "4c32d7604e94c3ead5f3896c9cd68e2bc6cf5020f2036f29a28f560ad660a739",
+            "b037f69e3e7527ac38a6f6e657a6dc1519113eb30e55648d40ff4f4d8dc963e7",
+        ),
+    ],
+    ids=["levelwise", "depth-first"],
+)
+def test_logs_at_scale_are_pinned(tmp_path, capsys, source, summary, freq_sha256, conf_sha256):
+    freq, conf = tmp_path / "freq.log", tmp_path / "conf.log"
+    code, out, _ = run(["mine", *source, "--out", str(freq)], capsys)
+    assert code == 0 and out.startswith(summary + "\n")
+    code, out, _ = run(["rules", *source, "--minconf", "0.5", "--out", str(conf)], capsys)
+    assert code == 0
+    assert hashlib.sha256(freq.read_bytes()).hexdigest() == freq_sha256
+    assert hashlib.sha256(conf.read_bytes()).hexdigest() == conf_sha256
+
+
+@pytest.mark.parametrize(
+    "source", [["--input", str(STORE9), "--minsupp", "2"], LEVELWISE], ids=["store9", "levelwise"]
+)
+def test_commands_build_no_frequent_itemset_record(tmp_path, capsys, monkeypatch, source):
+    # The commands read the mining result's level arrays; a record is built
+    # only when a caller reads one.
+    built = []
+    check = FrequentItemset.__post_init__
+
+    def spy(record):
+        built.append(record)
+        check(record)
+
+    monkeypatch.setattr(FrequentItemset, "__post_init__", spy)
+    update = tmp_path / "update.txt"
+    update.write_text("U1,I1,I4\nU2,I2,I3,I5\n")
+    for argv in (
+        ["mine", *source, "--out", str(tmp_path / "freq.log")],
+        ["rules", *source, "--minconf", "0.5", "--out", str(tmp_path / "conf.log")],
+        ["update", *source, "--update", str(update), "--minconf", "0.5", "--out", str(tmp_path)],
+        ["bench", *source],
+    ):
+        assert run(argv, capsys)[0] == 0, argv
+    assert built == []
+    FrequentItemset((0, 1), 2)
+    assert len(built) == 1
 
 
 def test_unknown_subcommand_exits_nonzero(capsys):

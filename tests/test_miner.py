@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from basketmine import miner
 from basketmine.apriori import mine_apriori
 from basketmine.ingest import SyntheticSpec, generate_synthetic, parse_into
-from basketmine.miner import mine, remine
+from basketmine.miner import MineResult, mine, remine
 from basketmine.model import Database, SupportThreshold, ThresholdError
 from basketmine.tradelist import TradeList
 
@@ -169,11 +169,19 @@ LEVELWISE_MIN_ITEMS = next(m for m in count(2) if m * (m - 1) // 2 >= miner.LEVE
 
 
 def grow_both(tl, minsupp):
-    """``_depth_first`` and ``_levelwise`` called directly, on what ``mine`` feeds them."""
-    singles = sorted(mine(tl, minsupp).level(1), key=lambda fi: fi.support)  # stable
+    """``_depth_first`` and ``_levelwise`` called directly, on what ``mine`` feeds them.
+
+    Yields each one's levels from 2 up, read back as records through the
+    checked ``MineResult`` constructor, and its count.
+    """
+    result = mine(tl, minsupp)
+    singles = sorted(result.level(1), key=lambda fi: fi.support)  # stable
     order = [fi.itemset[0] for fi in singles]
     bitmaps = [tl.bitmap(i) for i in order]
-    return miner._depth_first(order, bitmaps, minsupp), miner._levelwise(order, bitmaps, minsupp)
+    for grow in (miner._depth_first, miner._levelwise):
+        levels, n_intersections = grow(order, bitmaps, minsupp)
+        itemsets, supports = zip((result.itemsets[0], result.supports[0]), *levels)
+        yield MineResult(list(itemsets), list(supports), result.stats).levels[1:], n_intersections
 
 
 def nth_support(tl, n):

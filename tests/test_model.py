@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basketmine.ingest import parse_database, write_database
-from basketmine.miner import FrequentItemset
+from basketmine.miner import FrequentItemset, MineResult, MineStats
 from basketmine.model import (
     Database,
     DuplicateTidError,
@@ -116,6 +116,52 @@ class TestFrequentItemset:
     def test_rejects_items_that_are_not_a_tuple(self):
         with pytest.raises(MiningError):
             FrequentItemset([0, 1], 1)
+
+
+class TestMineResult:
+    """The checked constructor: level k is an ``n x k`` integer array of
+    strictly increasing ordinals >= 0, with ``n`` integer supports."""
+
+    def test_reads_integer_arrays_as_int64(self):
+        itemsets = [np.array([[0], [2]], dtype=np.uint8), np.array([[0, 2]], dtype=np.int32)]
+        supports = [np.array([4, 3], dtype=np.int16), np.array([2])]
+        result = MineResult(itemsets, supports, MineStats(0))
+        assert {a.dtype for a in result.itemsets + result.supports} == {np.dtype(np.int64)}
+        assert result.levels == [
+            [FrequentItemset((0,), 4), FrequentItemset((2,), 3)],
+            [FrequentItemset((0, 2), 2)],
+        ]
+
+    def test_accepts_an_empty_level(self):
+        result = MineResult([np.empty((0, 1), dtype=np.int64)], [np.empty(0, dtype=np.int64)], MineStats(0))
+        assert result.n_itemsets == 0 and result.levels == [[]]
+
+    @pytest.mark.parametrize(
+        "itemsets,supports",
+        [
+            ([np.array([[0, 1]])], [np.array([2])]),
+            ([np.array([0, 1])], [np.array([2, 2])]),
+            ([np.array([[0], [1]])], [np.array([2])]),
+            ([np.array([[0]])], [np.array([[2]])]),
+            ([np.array([[0]])], [np.array([2]), np.array([1])]),
+            ([np.array([[0]]), np.array([[0, 1]])], [np.array([2])]),
+            ([np.array([[-1]])], [np.array([2])]),
+            ([np.array([[0], [1]]), np.array([[0, 1], [2, 1]])], [np.array([2, 2]), np.array([1, 1])]),
+            ([np.array([[0], [1]]), np.array([[1, 1]])], [np.array([2, 2]), np.array([1])]),
+            ([np.array([[2**63]], dtype=np.uint64)], [np.array([2])]),
+            ([np.array([[0.0]])], [np.array([2])]),
+            ([np.array([[0]])], [np.array([2.0])]),
+            ([[[0]]], [[2]]),
+        ],
+        ids=[
+            "wrong-width", "not-2d", "fewer-supports", "2d-supports", "extra-supports-level",
+            "missing-supports-level", "negative-ordinal", "decreasing-row", "repeated-item",
+            "uint64-past-int64", "float-itemsets", "float-supports", "lists",
+        ],
+    )
+    def test_rejects(self, itemsets, supports):
+        with pytest.raises(MiningError):
+            MineResult(itemsets, supports, MineStats(0))
 
 
 class TestDatabase:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from basketmine.ingest import SyntheticSpec, generate_synthetic
-from basketmine.miner import FrequentItemset, MineResult, MineStats, mine
+from basketmine.miner import FrequentItemset, mine
 from basketmine import rules as rules_module
 from basketmine.model import MiningError, ThresholdError
 from basketmine.rules import (
@@ -22,7 +22,7 @@ from basketmine.rules import (
 )
 from basketmine.tradelist import TradeList
 
-from oracles import brute_rules, brute_tidset, db_from_rows, db_rows
+from oracles import brute_rules, brute_tidset, db_from_rows, db_rows, packed
 
 #: ARRAY_MIN_ITEMSETS values that send every level to the array path, then
 #: every level to the loop over each Z.
@@ -165,23 +165,21 @@ class TestGenerateRules:
             assert 0 < rule.confidence <= 1
 
     def test_missing_antecedent_support_is_an_internal_error(self):
-        broken = MineResult(
-            levels=[
+        broken = packed(
+            [
                 [FrequentItemset((0,), 3)],
                 [FrequentItemset((0, 1), 2)],  # (1,) support missing
-            ],
-            stats=MineStats(raw_passes=0),
+            ]
         )
         assert_same_error_on_both_paths(broken, RuleQuery(Fraction(1, 2)))
 
     def test_missing_two_item_antecedent_is_an_internal_error(self):
-        broken = MineResult(
-            levels=[
+        broken = packed(
+            [
                 [FrequentItemset((0,), 3), FrequentItemset((1,), 3), FrequentItemset((2,), 3)],
                 [FrequentItemset((0, 2), 2), FrequentItemset((1, 2), 2)],  # (0, 1) missing
                 [FrequentItemset((0, 1, 2), 2)],
-            ],
-            stats=MineStats(raw_passes=0),
+            ]
         )
         assert_same_error_on_both_paths(broken, RuleQuery(Fraction(1, 2)))
 
@@ -191,7 +189,7 @@ class TestGenerateRules:
         # made before any key, find them missing.
         whole = tuple(range(63))
         levels = [[FrequentItemset((i,), 2) for i in whole]] + [[] for _ in range(61)]
-        broken = MineResult(levels + [[FrequentItemset(whole, 2)]], MineStats(raw_passes=0))
+        broken = packed(levels + [[FrequentItemset(whole, 2)]])
         assert_same_error_on_both_paths(broken, RuleQuery(Fraction(1, 2)))
 
     @settings(deadline=None, max_examples=150)
@@ -242,7 +240,7 @@ class TestGenerateRules:
             [FrequentItemset(tuple(first + 3 * i for i in fi.itemset), fi.support) for fi in level]
             for level in result.levels
         ]
-        wide = MineResult(widened, result.stats)
+        wide = packed(widened, result.stats)
         query = RuleQuery(Fraction(7, 10))
         expected = brute_rules(wide, query.min_confidence)
         assert rules_on_both_paths(wide, query) == expected
