@@ -4,11 +4,12 @@ The classic baseline (Agrawal & Srikant, VLDB 1994): level k costs one raw
 pass over the transactions to count its candidates, so the raw-pass counter
 grows with the depth of the result. ``count_support`` takes a list of
 same-length itemsets and returns their counts from one pass: it reads
-``db.transactions`` afresh, a block of rows at a time, and checks the whole
-block against all of the itemsets at once with numpy; nothing built during a
-pass outlives it. ``mine_apriori`` tallies the counters as it goes: one raw
-pass per counted level, one containment check per (transaction, candidate)
-pair, and one per item read in the level-1 pass. It is single-threaded; its
+``db.transactions`` afresh, a block of rows at a time, and counts all of
+the itemsets on the whole block at once with numpy, on packed bitmaps;
+nothing built during a pass outlives it. ``mine_apriori`` tallies the
+counters as it goes: one raw pass per counted level, one containment check
+per (transaction, candidate) pair, and one per item read in the level-1
+pass. It is single-threaded; its
 job in this package is to be an independent second route to the same answer
 as the tidset miner, and to make the scan-count difference measurable.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from itertools import chain
+from itertools import chain, combinations, groupby
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -33,11 +34,14 @@ from .model import (
 
 __all__ = ["count_support", "generate_candidates", "mine_apriori"]
 
-#: The most cells one block of a counting pass may take, so that its memory
-#: does not grow with |D|. A row of a candidate pass takes one boolean per
-#: membership column and two per candidate; a row of the level-1 pass, which
-#: only flattens, takes one. The arrays of a block's flattened items grow
-#: with its rows' lengths, as the item tuples they are read from do.
+#: The most bytes of scratch one block of a counting pass may take, so that
+#: its memory does not grow with |D|. A row of a candidate pass takes one
+#: boolean per membership column and one bit per packed column and per
+#: distinct prefix; its candidates are then counted a chunk at a time, whose
+#: two ``uint64`` arrays take at most as many bytes again. A row of the
+#: level-1 pass, which only flattens, takes one. The arrays of a block's
+#: flattened items grow with its rows' lengths, as the item tuples they are
+#: read from do.
 _BLOCK_CELLS = 1 << 18
 
 
@@ -46,34 +50,48 @@ def generate_candidates(frequents: Sequence[Itemset]) -> list[Itemset]:
 
     Canonical input in, canonical candidates out: ``frequents`` must be in
     canonical order, which keeps equal prefixes contiguous, and the joins
-    then come out in canonical order with no sort. A joined candidate
+    then come out in canonical order with no sort. Each run of equal
+    prefixes joins every pair of its itemsets, in order. A joined candidate
     survives only if every k-subset is itself frequent; anything pruned here
     could not possibly reach the threshold, so the counting pass never sees
     it. The two subsets that dropping either of the last two items gives are
-    the joined pair itself, so only the others are looked up.
+    the joined pair itself, so only the others are checked, and a pair of
+    singletons has none. Those of ``a + (y,)`` all end in ``y``, so it
+    survives when ``y`` extends each of them, less ``y``, to a frequent
+    itemset: one set lookup per joined pair.
     """
     if not frequents:
         return []
     k = len(frequents[0])
-    known = set(frequents)
+    if k == 1:  # every singleton shares the empty prefix
+        return [a + b for a, b in combinations(frequents, 2)]
+    # The last items that extend each (k-1)-prefix to a frequent itemset.
+    extends: dict[Itemset, set[int]] = {}
+    for itemset in frequents:
+        extends.setdefault(itemset[:-1], set()).add(itemset[-1])
+    none: frozenset[int] = frozenset()
     out: list[Itemset] = []
-    for a_idx, a in enumerate(frequents):
-        for b in frequents[a_idx + 1 :]:
-            if a[:-1] != b[:-1]:
-                break  # canonical order keeps equal prefixes contiguous
-            candidate = a + (b[-1],)
-            if all(candidate[:i] + candidate[i + 1 :] in known for i in range(k - 1)):
-                out.append(candidate)
+    for prefix, run in groupby(frequents, key=lambda itemset: itemset[:-1]):
+        run = list(run)
+        # Dropping prefix item j from a + (y,) leaves drops[j] + (a[-1], y).
+        drops = [prefix[:j] + prefix[j + 1 :] for j in range(k - 1)]
+        for i, a in enumerate(run):
+            allowed = extends.get(drops[0] + a[-1:], none)
+            for drop in drops[1:]:
+                allowed = allowed & extends.get(drop + a[-1:], none)
+            out += [a + b[-1:] for b in run[i + 1 :] if b[-1] in allowed]
     return out
 
 
 def count_support(db: Database, itemsets: Sequence[Itemset]) -> list[int]:
     """Count each itemset's containing transactions in one full pass.
 
-    The itemsets must all have one length. Each block of rows becomes a
-    boolean membership matrix over the items the itemsets use; an itemset is
-    contained in a row when the row holds all of its columns. An ordinal
-    outside ``db.items`` is in no row.
+    The itemsets must all have one length. Each block of rows becomes one
+    packed bit column per item the itemsets use (bit r set when row r holds
+    the item). Each distinct (k-1)-prefix ANDs its columns once per block;
+    an itemset is its prefix's bits ANDed with its last item's column, and
+    its count in the block is their popcount. An ordinal outside
+    ``db.items`` is in no row.
     """
     if not itemsets:
         return []
@@ -88,19 +106,39 @@ def count_support(db: Database, itemsets: Sequence[Itemset]) -> list[int]:
     lo, hi = bisect_left(used, 0), bisect_left(used, len(db.items))
     # An array index: a list index costs numpy a 128 KiB buffer.
     column_of[np.array(used[lo:hi], dtype=np.intp)] = np.arange(lo, hi)
-    # Row j of the index holds every candidate's j-th column: a contiguous
-    # row gathers without the buffer that a strided column costs numpy.
-    index = np.fromiter(
-        map(column.__getitem__, chain.from_iterable(itemsets)), dtype=np.intp
-    ).reshape(len(itemsets), -1).T.copy()
-    counts = np.zeros(len(itemsets), dtype=np.intp)
-    for lengths, items in _row_blocks(db.transactions, other + 1 + 2 * len(itemsets)):
-        member = np.zeros((len(lengths), other + 1), dtype=bool)
-        member[np.repeat(np.arange(len(lengths)), lengths), column_of[items]] = True
-        contained = member[:, index[0]]
-        for columns in index[1:]:
-            contained &= member[:, columns]
-        counts += np.count_nonzero(contained, axis=0)
+    # Each itemset's last column and the number of its (k-1)-prefix, the
+    # prefixes numbered as they first appear.
+    n = len(itemsets)
+    last = np.fromiter((column[itemset[-1]] for itemset in itemsets), dtype=np.intp, count=n)
+    prefix_of: dict[Itemset, int] = {}
+    parent = np.fromiter(
+        (prefix_of.setdefault(itemset[:-1], len(prefix_of)) for itemset in itemsets),
+        dtype=np.intp,
+        count=n,
+    )
+    # Row j holds every prefix's j-th column; single items have the empty
+    # prefix, which holds every row.
+    k = len(itemsets[0])
+    prefix_columns = np.fromiter(
+        map(column.__getitem__, chain.from_iterable(prefix_of)), dtype=np.intp
+    ).reshape(len(prefix_of), k - 1).T.copy()
+    counts = np.zeros(n, dtype=np.intp)
+    row_cells = other + 1 + (other + 1 + len(prefix_of) + 7) // 8
+    for lengths, items in _row_blocks(db.transactions, row_cells):
+        # Rows past the block's own, up to a whole word, are in no column.
+        words = (len(lengths) + 63) // 64
+        member = np.zeros((other + 1, 64 * words), dtype=bool)
+        member[column_of[items], np.repeat(np.arange(len(lengths)), lengths)] = True
+        bits = np.packbits(member, axis=1).view("<u8")
+        del member
+        prefixes = np.full((len(prefix_of), words), ~np.uint64(0))
+        for columns in prefix_columns:
+            prefixes &= bits[columns]
+        chunk = max(1, _BLOCK_CELLS // (16 * words))
+        for start in range(0, n, chunk):
+            common = prefixes[parent[start : start + chunk]]
+            common &= bits[last[start : start + chunk]]
+            counts[start : start + chunk] += np.bitwise_count(common).sum(axis=1, dtype=np.intp)
     return counts.tolist()
 
 

@@ -186,22 +186,14 @@ def mine(tl: TradeList, threshold: SupportThreshold | int) -> MineResult:
 # Both growers take the frequent items in ascending-support order with their
 # bitmaps, and extend every frequent itemset with each item after its last
 # one in that order: they test the same candidates, one intersection each,
-# and return the levels from 2 up, each packed by _canonical, and that count.
-
-def _canonical(itemsets: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A level's new rows, each sorted in place, then in canonical order."""
-    itemsets.sort(axis=1)
-    if len(itemsets) < 2:  # in order already; a small re-mine often ends in one such level
-        return itemsets, supports
-    rank = np.lexsort(itemsets.T[::-1])
-    return itemsets[rank], supports[rank]
-
+# and return the levels from 2 up, each in canonical order, and that count.
 
 def _depth_first(
     order: list[int], bitmaps: list[int], minsupp: int
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], int]:
     """Extend one prefix at a time, pruning an infrequent one's whole subtree."""
-    # Each frequent itemset found, its support appended, by its size.
+    # Each frequent itemset found, its items ascending and its support
+    # appended, by its size.
     found: dict[int, list[tuple[int, ...]]] = {}
     n_intersections = 0
 
@@ -213,14 +205,16 @@ def _depth_first(
             support = common.bit_count()
             if support >= minsupp:
                 grown = prefix + (item,)
-                found.setdefault(len(grown), []).append(grown + (support,))
+                found.setdefault(len(grown), []).append((*sorted(grown), support))
                 extend(grown, common, rest[q + 1 :])
 
     entries = list(zip(order, bitmaps))
     for p, (item, bits) in enumerate(entries):
         extend((item,), bits, entries[p + 1 :])
-    levels = [np.array(found[k], dtype=np.int64) for k in sorted(found)]
-    return [_canonical(level[:, :-1], level[:, -1]) for level in levels], n_intersections
+    # A level is small here: sorting its rows in Python and packing them with
+    # one np.array costs less than numpy's fixed cost per call for a sort.
+    levels = [np.array(sorted(found[k]), dtype=np.int64) for k in sorted(found)]
+    return [(level[:, :-1], level[:, -1]) for level in levels], n_intersections
 
 
 def _levelwise(
@@ -269,7 +263,10 @@ def _levelwise(
         del found
         last = at[kept]
         paths = np.concatenate((paths[parent[kept]], last[:, None]), axis=1)
-        levels.append(_canonical(item_of[paths], supports.astype(np.int64)))
+        itemsets = item_of[paths]
+        itemsets.sort(axis=1)
+        rank = np.lexsort(itemsets.T[::-1])
+        levels.append((itemsets[rank], supports.astype(np.int64)[rank]))
         del parent, at, kept
     return levels, n_intersections
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from basketmine import apriori
 from basketmine.apriori import count_support, generate_candidates, mine_apriori
+from basketmine.ingest import SyntheticSpec, generate_synthetic
 from basketmine.miner import mine
 from basketmine.model import Database, MiningError
 from basketmine.tradelist import TradeList
@@ -98,12 +99,12 @@ class TestCountSupport:
         db = db_from_rows(rows)
         if ghost:
             db.items._intern("ghost")  # an item no row contains
-        # Ordinals up to two past the dictionary, which no row can hold.
-        universe = len(db.items) + 2
-        k = data.draw(st.integers(1, min(4, universe)), label="k")
+        # Ordinals from two below zero to two past the dictionary: no row
+        # can hold those outside it.
+        k = data.draw(st.integers(1, min(4, len(db.items) + 4)), label="k")
         itemsets = data.draw(
             st.lists(
-                st.sets(st.integers(0, universe - 1), min_size=k, max_size=k).map(
+                st.sets(st.integers(-2, len(db.items) + 1), min_size=k, max_size=k).map(
                     lambda s: tuple(sorted(s))
                 ),
                 max_size=12,
@@ -117,6 +118,71 @@ class TestCountSupport:
             counts = count_support(db, itemsets)
         direct = [sum(set(c) <= set(items) for items in db.transactions) for c in itemsets]
         assert counts == direct
+
+
+def spy_row_blocks(monkeypatch):
+    """Record the row count of each block that each call of ``_row_blocks`` yields."""
+    calls = []
+    real = apriori._row_blocks
+
+    def spy(transactions, row_cells):
+        blocks = []
+        calls.append(blocks)
+        for lengths, items in real(transactions, row_cells):
+            blocks.append(len(lengths))
+            yield lengths, items
+
+    monkeypatch.setattr(apriori, "_row_blocks", spy)
+    return calls
+
+
+class TestBlocksOfSeveralWords:
+    """Blocks of more than 64 rows pack into several words, the last partial."""
+
+    @pytest.mark.parametrize("cells", [apriori._BLOCK_CELLS, 8000])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_counts_match_direct_subset_tests(self, monkeypatch, cells, k):
+        db = generate_synthetic(SyntheticSpec(200, 40, 8, 3))
+        frequent = mine(TradeList.build(db), 4).itemsets[k - 2]
+        itemsets = generate_candidates(list(map(tuple, frequent.tolist())))
+        calls = spy_row_blocks(monkeypatch)
+        monkeypatch.setattr(apriori, "_BLOCK_CELLS", cells)
+        counts = count_support(db, itemsets)
+        # Every block, and so its last word, ends mid-word; at the small
+        # size the pass takes several blocks of more than one word.
+        (blocks,) = calls
+        assert sum(blocks) == db.n_transactions == 200
+        assert all(rows % 64 for rows in blocks)
+        if cells < apriori._BLOCK_CELLS:
+            assert len(blocks) > 1 and blocks[0] > 64
+        rows = [set(items) for items in db.transactions]
+        assert counts == [sum(set(c) <= row for row in rows) for c in itemsets]
+
+
+class TestOnePassPerLevel:
+    """Each counted level reads every row afresh, through one ``_row_blocks`` call."""
+
+    def test_count_support_reads_the_rows_once(self, store9_db, monkeypatch):
+        calls = spy_row_blocks(monkeypatch)
+        count_support(store9_db, [(0, 1), (1, 2)])
+        count_support(store9_db, [(0, 1, 2)])
+        assert [sum(blocks) for blocks in calls] == [store9_db.n_transactions] * 2
+
+    @pytest.mark.parametrize("minsupp", [1, 2, 10])
+    def test_mine_apriori_reads_them_once_per_raw_pass(self, store9_db, monkeypatch, minsupp):
+        calls = spy_row_blocks(monkeypatch)
+        result = mine_apriori(store9_db, minsupp)
+        assert len(calls) == result.stats.raw_passes
+        assert all(sum(blocks) == store9_db.n_transactions for blocks in calls)
+
+    def test_mine_apriori_over_several_blocks(self, monkeypatch):
+        db = generate_synthetic(SyntheticSpec(200, 12, 5, 3))
+        calls = spy_row_blocks(monkeypatch)
+        monkeypatch.setattr(apriori, "_BLOCK_CELLS", 150)
+        result = mine_apriori(db, 4)
+        assert len(result.itemsets) > 3
+        assert len(calls) == result.stats.raw_passes
+        assert all(sum(blocks) == 200 and len(blocks) > 1 for blocks in calls)
 
 
 def recount(db, minsupp):
