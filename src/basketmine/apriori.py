@@ -5,12 +5,12 @@ pass over the transactions to count its candidates, so the raw-pass counter
 grows with the depth of the result. ``count_support`` takes a list of
 same-length itemsets and returns their counts from one pass: it reads
 ``db.transactions`` afresh, a block of rows at a time, and counts all of
-the itemsets on the whole block at once with numpy, on packed bitmaps;
-nothing built during a pass outlives it. ``mine_apriori`` tallies the
-counters as it goes: one raw pass per counted level, one containment check
-per (transaction, candidate) pair, and one per item read in the level-1
-pass. It is single-threaded; its
-job in this package is to be an independent second route to the same answer
+the itemsets on the whole block at once with numpy: each itemset is the AND
+of its own items' packed bit columns. Nothing built during a pass outlives
+it. ``mine_apriori`` tallies the counters as it goes: one raw pass per
+counted level, one containment check per (transaction, candidate) pair, and
+one per item read in the level-1 pass. It is single-threaded; its job in
+this package is to be an independent second route to the same answer
 as the tidset miner, and to make the scan-count difference measurable.
 """
 
@@ -36,12 +36,12 @@ __all__ = ["count_support", "generate_candidates", "mine_apriori"]
 
 #: The most bytes of scratch one block of a counting pass may take, so that
 #: its memory does not grow with |D|. A row of a candidate pass takes one
-#: boolean per membership column and one bit per packed column and per
-#: distinct prefix; its candidates are then counted a chunk at a time, whose
-#: two ``uint64`` arrays take at most as many bytes again. A row of the
-#: level-1 pass, which only flattens, takes one. The arrays of a block's
-#: flattened items grow with its rows' lengths, as the item tuples they are
-#: read from do.
+#: boolean per membership column and one bit per packed column; its
+#: candidates are then counted a chunk at a time, whose running AND and one
+#: gathered column, both ``uint64``, take at most as many bytes again. A row
+#: of the level-1 pass, which only flattens, takes one. The arrays of a
+#: block's flattened items grow with its rows' lengths, as the item tuples
+#: they are read from do.
 _BLOCK_CELLS = 1 << 18
 
 
@@ -86,17 +86,19 @@ def generate_candidates(frequents: Sequence[Itemset]) -> list[Itemset]:
 def count_support(db: Database, itemsets: Sequence[Itemset]) -> list[int]:
     """Count each itemset's containing transactions in one full pass.
 
-    The itemsets must all have one length. Each block of rows becomes one
-    packed bit column per item the itemsets use (bit r set when row r holds
-    the item). Each distinct (k-1)-prefix ANDs its columns once per block;
-    an itemset is its prefix's bits ANDed with its last item's column, and
-    its count in the block is their popcount. An ordinal outside
-    ``db.items`` is in no row.
+    The itemsets must all have one nonzero length k. Each block of rows
+    becomes one packed bit column per item the itemsets use (bit r set when
+    row r holds the item); an itemset's count in the block is the popcount
+    of its k item columns ANDed together. An ordinal outside ``db.items`` is
+    in no row.
     """
     if not itemsets:
         return []
-    if len(set(map(len, itemsets))) != 1:
+    k = len(itemsets[0])
+    if any(len(itemset) != k for itemset in itemsets):
         raise MiningError("candidates of different lengths")
+    if not k:
+        raise MiningError("an itemset must not be empty")
     used = sorted(set(chain.from_iterable(itemsets)))
     column = dict(zip(used, range(len(used))))
     # One column per item a candidate uses, then one that every other item
@@ -106,24 +108,13 @@ def count_support(db: Database, itemsets: Sequence[Itemset]) -> list[int]:
     lo, hi = bisect_left(used, 0), bisect_left(used, len(db.items))
     # An array index: a list index costs numpy a 128 KiB buffer.
     column_of[np.array(used[lo:hi], dtype=np.intp)] = np.arange(lo, hi)
-    # Each itemset's last column and the number of its (k-1)-prefix, the
-    # prefixes numbered as they first appear.
+    # Row i holds the columns of itemset i's items.
     n = len(itemsets)
-    last = np.fromiter((column[itemset[-1]] for itemset in itemsets), dtype=np.intp, count=n)
-    prefix_of: dict[Itemset, int] = {}
-    parent = np.fromiter(
-        (prefix_of.setdefault(itemset[:-1], len(prefix_of)) for itemset in itemsets),
-        dtype=np.intp,
-        count=n,
-    )
-    # Row j holds every prefix's j-th column; single items have the empty
-    # prefix, which holds every row.
-    k = len(itemsets[0])
-    prefix_columns = np.fromiter(
-        map(column.__getitem__, chain.from_iterable(prefix_of)), dtype=np.intp
-    ).reshape(len(prefix_of), k - 1).T.copy()
+    cols = np.fromiter(
+        map(column.__getitem__, chain.from_iterable(itemsets)), dtype=np.intp, count=n * k
+    ).reshape(n, k)
     counts = np.zeros(n, dtype=np.intp)
-    row_cells = other + 1 + (other + 1 + len(prefix_of) + 7) // 8
+    row_cells = other + 1 + (other + 8) // 8
     for lengths, items in _row_blocks(db.transactions, row_cells):
         # Rows past the block's own, up to a whole word, are in no column.
         words = (len(lengths) + 63) // 64
@@ -131,13 +122,12 @@ def count_support(db: Database, itemsets: Sequence[Itemset]) -> list[int]:
         member[column_of[items], np.repeat(np.arange(len(lengths)), lengths)] = True
         bits = np.packbits(member, axis=1).view("<u8")
         del member
-        prefixes = np.full((len(prefix_of), words), ~np.uint64(0))
-        for columns in prefix_columns:
-            prefixes &= bits[columns]
         chunk = max(1, _BLOCK_CELLS // (16 * words))
         for start in range(0, n, chunk):
-            common = prefixes[parent[start : start + chunk]]
-            common &= bits[last[start : start + chunk]]
+            part = cols[start : start + chunk].T
+            common = bits[part[0]]
+            for columns in part[1:]:
+                common &= bits[columns]
             counts[start : start + chunk] += np.bitwise_count(common).sum(axis=1, dtype=np.intp)
     return counts.tolist()
 

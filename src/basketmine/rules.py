@@ -378,11 +378,14 @@ def _level_by_itemset(
 
 
 def format_percent(value: Fraction | int) -> str:
-    """Percentage string, half-away-from-zero to 2 decimals, zeros trimmed.
+    """Percentage string of a value >= 0, half up to 2 decimals, zeros trimmed.
 
     5/8 -> "62.5%", 7/9 -> "77.78%", 1 -> "100%". Computed in integers:
-    ``floor(n/d * 10000 + 1/2) == (20000*n + d) // (2*d)``.
+    ``floor(n/d * 10000 + 1/2) == (20000*n + d) // (2*d)``. Confidences and
+    support shares are never negative, so a negative value is rejected.
     """
+    if value < 0:
+        raise MiningError(f"a percentage must be >= 0, got {value}")
     return _percent(value.numerator, value.denominator)
 
 

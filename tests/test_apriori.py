@@ -67,6 +67,11 @@ class TestCountSupport:
         with pytest.raises(MiningError):
             count_support(store9_db, [(0, 1), (2,), (0, 1, 3)])
 
+    @pytest.mark.parametrize("itemsets", [[()], [(), ()]])
+    def test_empty_itemset_rejected(self, store9_db, itemsets):
+        with pytest.raises(MiningError):
+            count_support(store9_db, itemsets)
+
     def test_supports_are_python_ints(self, store9_db):
         counts = count_support(store9_db, [(0, 1), (1, 2)])
         assert [type(c) for c in counts] == [int, int]
@@ -140,7 +145,7 @@ class TestBlocksOfSeveralWords:
     """Blocks of more than 64 rows pack into several words, the last partial."""
 
     @pytest.mark.parametrize("cells", [apriori._BLOCK_CELLS, 8000])
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
     def test_counts_match_direct_subset_tests(self, monkeypatch, cells, k):
         db = generate_synthetic(SyntheticSpec(200, 40, 8, 3))
         frequent = mine(TradeList.build(db), 4).itemsets[k - 2]

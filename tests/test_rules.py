@@ -362,6 +362,13 @@ class TestFormatPercent:
     def test_rounding_boundaries(self, value, text):
         assert format_percent(value) == text
 
+    @pytest.mark.parametrize("value", [Fraction(-1, 8), Fraction(-1, 3), Fraction(-1, 20000)])
+    def test_negative_rejected(self, value):
+        # Confidences and support shares are never negative; half-up
+        # rounding would misrender these as "-13.5%", "-34.67%" and "0%".
+        with pytest.raises(MiningError):
+            format_percent(value)
+
     @given(
         st.fractions(min_value=0, max_value=1, max_denominator=10**7).filter(
             lambda v: v > 0
