@@ -105,9 +105,12 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _read_text(path: Path) -> str:
-    """A transaction file's text; undecodable bytes are reported with its path."""
+    """A transaction file's UTF-8 text, less any leading byte-order mark.
+
+    Undecodable bytes are reported with the file's path.
+    """
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
 

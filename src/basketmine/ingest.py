@@ -39,6 +39,11 @@ def parse_database(text: str) -> Database:
     return db
 
 
+#: Lines parsed per bulk step. Each step's lists stay small enough to be
+#: cheap to build; one step over a whole 20,000-line file is slower.
+_CHUNK_LINES = 256
+
+
 def parse_into(db: Database, text: str) -> list[Itemset]:
     """Append a document's transactions to ``db`` and return their item tuples.
 
@@ -52,24 +57,44 @@ def parse_into(db: Database, text: str) -> list[Itemset]:
     Each row's checks are those of :meth:`Database.add_transaction`; their
     errors gain the ``line N:`` prefix and ``line`` attribute of the
     offending line.
+
+    Lines are split and appended ``_CHUNK_LINES`` at a time. A chunk that
+    fails a check is added again line by line through
+    :meth:`Database.add_transaction`, which raises the first rejection.
     """
     n_tx, n_items, n_tids = len(db.transactions), len(db.items), len(db.tids)
+    lines = text.splitlines()
+    # Inside a line, str.strip can remove only these ASCII characters (the
+    # rest of ASCII whitespace breaks lines) or some non-ASCII whitespace.
+    trim = not text.isascii() or " " in text or "\t" in text or "\x1f" in text
     try:
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line[0] == "#":
-                continue
-            tid_label, *item_labels = line.split(",")
-            try:
-                db.add_transaction(tid_label, item_labels)
-            except (ParseError, DuplicateTidError) as exc:
-                raise type(exc)(str(exc), line=lineno) from None
+        for start in range(0, len(lines), _CHUNK_LINES):
+            chunk = lines[start : start + _CHUNK_LINES]
+            kept = map(str.strip, chunk) if trim else chunk
+            rows = [line.split(",") for line in kept if line and line[0] != "#"]
+            if trim:
+                rows = [list(map(str.strip, row)) for row in rows]
+            if not db._append_rows(rows):
+                _add_each(db, chunk, start + 1)
     except BaseException:
         del db.transactions[n_tx:]
         db.items.truncate(n_items)
         db.tids.truncate(n_tids)
         raise
     return db.transactions[n_tx:]
+
+
+def _add_each(db: Database, lines: list[str], first_lineno: int) -> None:
+    """Add ``lines`` one :meth:`Database.add_transaction` call at a time, naming a rejected line."""
+    for lineno, raw in enumerate(lines, start=first_lineno):
+        line = raw.strip()
+        if not line or line[0] == "#":
+            continue
+        tid_label, *item_labels = line.split(",")
+        try:
+            db.add_transaction(tid_label, item_labels)
+        except (ParseError, DuplicateTidError) as exc:
+            raise type(exc)(str(exc), line=lineno) from None
 
 
 def write_database(db: Database) -> str:

@@ -11,7 +11,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from itertools import chain, filterfalse, repeat
+from typing import Callable, Collection, Iterable, Sequence
 
 __all__ = [
     "Database",
@@ -64,8 +65,8 @@ Itemset = tuple[int, ...]
 class Interner:
     """Bijective label <-> dense-ordinal map; ordinals follow first appearance.
 
-    Labels come in only through :meth:`Database.add_transaction`, which trims
-    and checks every one, so every interned label can be written back.
+    Labels come in only through :class:`Database`'s appends, which check
+    every one, so every interned label can be written back.
     Re-interning a known label is a no-op that returns the ordinal assigned
     the first time.
     """
@@ -87,6 +88,16 @@ class Interner:
             self._labels.append(label)
         return ordinal
 
+    def _extend(self, labels: Collection[str]) -> None:
+        """Intern labels the caller checked are new and distinct, in their order.
+
+        The list grows before the dict, so :meth:`truncate` undoes an
+        interrupted call too.
+        """
+        n = len(self._labels)
+        self._labels.extend(labels)
+        self._by_label.update(zip(labels, range(n, len(self._labels))))
+
     def label(self, ordinal: int) -> str:
         if not 0 <= ordinal < len(self._labels):
             raise UnknownItemError(f"unknown ordinal {ordinal}")
@@ -107,8 +118,9 @@ class Interner:
 
     def truncate(self, n: int) -> None:
         """Forget every label interned after the first ``n``."""
+        by_label = self._by_label
         for label in self._labels[n:]:
-            del self._by_label[label]
+            by_label.pop(label, None)
         del self._labels[n:]
 
 
@@ -199,6 +211,37 @@ class Database:
         items = tuple(sorted(ordinals))
         self.transactions.append(items)
         return items
+
+    def _append_rows(self, rows: list[list[str]]) -> bool:
+        """Intern and append rows of ``[tid, item, ...]`` labels; False if one is rejected.
+
+        The parser's bulk path. The labels are already trimmed, and split
+        from lines so that none holds a reserved character or is a TID
+        starting with ``#``. A row with no items, an empty label, or a TID
+        repeated in ``rows`` or already in the database changes nothing and
+        returns False. New items intern in first-appearance order, as
+        row-by-row appends would.
+        """
+        fresh = dict.fromkeys(map(operator.itemgetter(0), rows))
+        # Two key views: isdisjoint then walks the smaller, not the database's TIDs.
+        if (
+            len(fresh) < len(rows)
+            or "" in fresh
+            or 1 in map(len, rows)
+            or not fresh.keys().isdisjoint(self.tids._by_label.keys())
+        ):
+            return False
+        item_rows = list(map(operator.itemgetter(slice(1, None)), rows))
+        known = self.items._by_label
+        # No interned label is empty, so an empty item label shows up as new.
+        new_items = dict.fromkeys(filterfalse(known.__contains__, chain.from_iterable(item_rows)))
+        if "" in new_items:
+            return False
+        self.tids._extend(fresh)
+        self.items._extend(new_items)
+        ordinals = map(map, repeat(known.__getitem__), item_rows)
+        self.transactions.extend(map(tuple, map(sorted, map(set, ordinals))))
+        return True
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Database):

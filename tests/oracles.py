@@ -1,8 +1,10 @@
 """Independent brute-force oracles and random-database builders.
 
-The support oracles count by scanning transactions directly, and
-``brute_rules`` tries every antecedent of every itemset; none of it shares
-code with the miners and the rule generator it is used to check.
+The support oracles count by scanning transactions directly,
+``brute_rules`` tries every antecedent of every itemset, and
+``reference_parse_into`` reads a document one line at a time; none of it
+shares code with the miners, the rule generator and the parser it is used
+to check.
 """
 
 from fractions import Fraction
@@ -12,7 +14,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from basketmine.miner import MineResult, MineStats
-from basketmine.model import Database
+from basketmine.model import Database, DuplicateTidError, ParseError
 from basketmine.rules import Rule
 
 
@@ -27,6 +29,27 @@ def db_from_rows(rows):
 def add_row(db, row):
     """Append a row of item indices as ``db_from_rows`` does; return its item tuple."""
     return db.add_transaction(f"T{db.n_transactions + 1}", [f"I{i}" for i in row])
+
+
+def reference_parse_into(db, text):
+    """``parse_into`` one line at a time through the checked ``add_transaction``.
+
+    Each line is stripped; blank and ``#`` lines are skipped; the rest split
+    at commas into a TID and its items. A rejected row raises its error
+    again with ``line=N``. Unlike ``parse_into`` it leaves the rows before a
+    rejected one in ``db``.
+    """
+    added = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tid_label, *item_labels = line.split(",")
+        try:
+            added.append(db.add_transaction(tid_label, item_labels))
+        except (ParseError, DuplicateTidError) as exc:
+            raise type(exc)(str(exc), line=lineno) from None
+    return added
 
 
 def brute_tidset(db, itemset):

@@ -88,6 +88,15 @@ class TestTradelistCmd:
         assert "line 2" in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("head", ["", "# header comment\n"], ids=["row", "comment"])
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path, capsys, head):
+        src = tmp_path / "bom.txt"
+        src.write_bytes(b"\xef\xbb\xbf" + head.encode() + STORE9.read_bytes())
+        out = tmp_path / "tl.log"
+        code, _, stderr = run(["tradelist", "--input", str(src), "--out", str(out)], capsys)
+        assert (code, stderr) == (0, "")
+        assert out.read_bytes() == (GOLDEN / "tradelist_store9.log").read_bytes()
+
     def test_default_name_is_timestamped(self, tmp_path, capsys):
         code, _, _ = run(
             ["tradelist", "--input", str(STORE9), "--outdir", str(tmp_path)], capsys

@@ -1,10 +1,11 @@
 import itertools
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from basketmine import ingest
@@ -24,7 +25,7 @@ from basketmine.model import (
 )
 from basketmine.tradelist import TradeList
 
-from oracles import db_from_rows, db_rows
+from oracles import db_from_rows, db_rows, reference_parse_into
 
 
 class TestParse:
@@ -153,23 +154,25 @@ class TestParseIntoAtomic:
         assert tl == TradeList.build(store9_db)
 
     def test_interrupted_update_leaves_db_and_index_in_step(self, monkeypatch, store9_db):
-        # Not a rejected row: the second row's add_transaction raises after
-        # the first row and its new item went in.
+        # Not a rejected row: the second chunk's append raises after the
+        # first chunk, with its new TID and item, went in.
         snapshot = parse_database(write_database(store9_db))
         tl = TradeList.build(store9_db)
-        add_transaction = Database.add_transaction
+        append_rows = Database._append_rows
         calls = []
 
-        def failing(self, tid_label, item_labels):
-            calls.append(tid_label)
+        def failing(self, rows):
+            calls.append(rows)
             if len(calls) == 2:
                 raise MemoryError
-            return add_transaction(self, tid_label, item_labels)
+            return append_rows(self, rows)
 
-        monkeypatch.setattr(Database, "add_transaction", failing)
+        monkeypatch.setattr(ingest, "_CHUNK_LINES", 1)
+        monkeypatch.setattr(Database, "_append_rows", failing)
         with pytest.raises(MemoryError):
             parse_into(store9_db, "T901,I1,I9\nT902,I2\n")
         monkeypatch.undo()
+        assert calls == [[["T901", "I1", "I9"]], [["T902", "I2"]]]
         assert store9_db == snapshot
         for tx in parse_into(store9_db, "T901,I1\nT902,I6\n"):
             tl.add_transaction(tx)
@@ -192,6 +195,57 @@ class TestParseIntoAtomic:
         for tx in parse_into(db, "Z1,I1,K1\n"):
             tl.add_transaction(tx)
         assert tl == TradeList.build(db)
+
+
+# Characters str.isspace accepts and splitlines does not break at, ASCII and not.
+wide_pads = st.text(st.sampled_from([" ", "\t", "\x1f", "\xa0", "\u3000"]), max_size=2)
+
+
+# B1 and B2 are the base's TIDs; J1 and J2 are items the base lacks.
+doc_tids = st.sampled_from(["B1", "B2", "T1", "T2", "T3", "T4"])
+doc_items = st.lists(st.sampled_from(["I1", "I2", "I1", "J1", "J2"]), min_size=1, max_size=4)
+
+
+@st.composite
+def padded_row(draw):
+    labels = [draw(doc_tids), *draw(doc_items)]
+    return ",".join(draw(wide_pads) + label + draw(wide_pads) for label in labels)
+
+
+doc_lines = st.one_of(
+    padded_row(),
+    wide_pads,  # blank
+    wide_pads.map(lambda pad: pad + "# note,,"),
+    st.sampled_from(["T8,,I1", "T8,I1,", ",I1", "T8, \xa0 ,I1", "T8", " T8 \t"]),
+)
+line_ends = st.sampled_from(["\n", "\r\n", "\r", "\x85", "\u2028"])
+
+
+@st.composite
+def documents(draw):
+    lines = draw(st.lists(doc_lines, max_size=10))
+    return "".join(line + draw(line_ends) for line in lines)
+
+
+class TestParseMatchesReference:
+    @settings(deadline=None, max_examples=300)
+    @given(doc=documents(), chunk=st.sampled_from([2, 3, ingest._CHUNK_LINES]))
+    @example(doc="T1,J1\nT2,I1\nT3,I2\nT1,I1\n", chunk=2)  # duplicate TID in a later chunk
+    @example(doc="T1,I1\nT2,I1\nB2,J1\n", chunk=2)  # a base TID in a later chunk
+    @example(doc="T1,I1\nT2,I2\n T3 ,\xa0J2,J1,J2\n", chunk=2)  # new items in a later chunk
+    def test_parse_into_matches_the_per_row_reference(self, doc, chunk):
+        expected_db, db = parse_database(BASE), parse_database(BASE)
+        try:
+            expected = reference_parse_into(expected_db, doc)
+        except MiningError as exc:
+            with mock.patch.object(ingest, "_CHUNK_LINES", chunk), pytest.raises(type(exc)) as info:
+                parse_into(db, doc)
+            assert (str(info.value), info.value.line) == (str(exc), exc.line)
+            assert db == parse_database(BASE)
+        else:
+            with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+                assert parse_into(db, doc) == expected
+            assert db == expected_db
 
 
 class TestWrite:
