@@ -17,8 +17,7 @@ as the tidset miner, and to make the scan-count difference measurable.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
-from itertools import chain, combinations, groupby
+from itertools import chain, combinations, compress, groupby
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -99,21 +98,21 @@ def count_support(db: Database, itemsets: Sequence[Itemset]) -> list[int]:
         raise MiningError("candidates of different lengths")
     if not k:
         raise MiningError("an itemset must not be empty")
-    used = sorted(set(chain.from_iterable(itemsets)))
-    column = dict(zip(used, range(len(used))))
-    # One column per item a candidate uses, then one that every other item
-    # of a row is written to.
+    return _count(db, np.array(itemsets, dtype=np.int64)).tolist()
+
+
+def _count(db: Database, itemsets: np.ndarray) -> np.ndarray:
+    """``count_support`` of an ``n x k`` int64 array of itemsets, ``n`` and ``k`` nonzero."""
+    used, cols = np.unique(itemsets, return_inverse=True)
+    # Row i holds the columns of itemset i's items: one column per item a
+    # candidate uses, then one that every other item of a row is written to.
+    cols = cols.reshape(itemsets.shape)
     other = len(used)
     column_of = np.full(len(db.items), other, dtype=np.intp)
-    lo, hi = bisect_left(used, 0), bisect_left(used, len(db.items))
-    # An array index: a list index costs numpy a 128 KiB buffer.
-    column_of[np.array(used[lo:hi], dtype=np.intp)] = np.arange(lo, hi)
-    # Row i holds the columns of itemset i's items.
+    lo, hi = np.searchsorted(used, [0, len(db.items)]).tolist()
+    column_of[used[lo:hi]] = np.arange(lo, hi)
     n = len(itemsets)
-    cols = np.fromiter(
-        map(column.__getitem__, chain.from_iterable(itemsets)), dtype=np.intp, count=n * k
-    ).reshape(n, k)
-    counts = np.zeros(n, dtype=np.intp)
+    counts = np.zeros(n, dtype=np.int64)
     row_cells = other + 1 + (other + 8) // 8
     for lengths, items in _row_blocks(db.transactions, row_cells):
         # Rows past the block's own, up to a whole word, are in no column.
@@ -128,8 +127,8 @@ def count_support(db: Database, itemsets: Sequence[Itemset]) -> list[int]:
             common = bits[part[0]]
             for columns in part[1:]:
                 common &= bits[columns]
-            counts[start : start + chunk] += np.bitwise_count(common).sum(axis=1, dtype=np.intp)
-    return counts.tolist()
+            counts[start : start + chunk] += np.bitwise_count(common).sum(axis=1, dtype=np.int64)
+    return counts
 
 
 def _row_blocks(
@@ -168,20 +167,25 @@ def mine_apriori(db: Database, threshold: SupportThreshold | int) -> MineResult:
         checks += len(items)
     frequent = np.flatnonzero(item_counts >= minsupp)
     level, counts = frequent[:, None], item_counts[frequent]
+    # Each level is held twice, as the result's array and as the tuples
+    # generate_candidates joins; both are made once, from the candidates.
+    tuples = list(zip(frequent.tolist()))
     levels = []
     while len(level):
         levels.append((level, counts))
-        candidates = generate_candidates(list(map(tuple, level.tolist())))
+        candidates = generate_candidates(tuples)
         if not candidates:
             break
         # Each candidate level is one more pass, charged one check per
         # (transaction, candidate) pair.
         raw_passes += 1
         checks += len(candidates) * db.n_transactions
-        counts = np.array(count_support(db, candidates), dtype=np.int64)
-        kept = counts >= minsupp
         # Joined from canonical itemsets, the candidates are canonical.
-        level, counts = np.array(candidates, dtype=np.int64)[kept], counts[kept]
+        joined = np.array(candidates, dtype=np.int64)
+        counts = _count(db, joined)
+        kept = counts >= minsupp
+        level, counts = joined[kept], counts[kept]
+        tuples = list(compress(candidates, kept.tolist()))
     stats = MineStats(
         raw_passes=raw_passes,
         containment_checks=checks,

@@ -20,16 +20,26 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from itertools import chain, islice
+from itertools import chain, repeat
+from operator import add, floordiv, mul
 from pathlib import Path
 from statistics import median
-from typing import Callable, NoReturn, TypeVar
+from typing import Callable, TypeVar
+
+import numpy as np
 
 from .apriori import mine_apriori
 from .ingest import SyntheticSpec, generate_synthetic, parse_database, parse_into
 from .miner import MineResult, mine, remine
 from .model import Database, MiningError, ParseError, SupportThreshold, UnknownItemError
-from .rules import RuleQuery, RuleSet, _percent, format_percent, generate_rules, parse_confidence
+from .rules import (
+    RuleQuery,
+    RuleSet,
+    _hundredths_text,
+    format_percent,
+    generate_rules,
+    parse_confidence,
+)
 from .tradelist import TradeList
 
 __all__ = ["main"]
@@ -44,46 +54,61 @@ T = TypeVar("T")
 
 def format_freq_log(result: MineResult, db: Database) -> str:
     """Numbered rows ``<n>-<label>, <label>, ...`` by level, then canonical order."""
-    label = db.items.label_getter()
-    lines = []
-    try:
-        for row, itemset in enumerate(chain.from_iterable(m.tolist() for m in result.itemsets), 1):
-            lines.append(f"{row}-{', '.join(map(label, itemset))}\n")
-    except IndexError:
-        _unknown(next(islice(result, len(lines), None)))
-    return "".join(lines)
+    joined = _joined(result.itemsets, db, ", ")
+    numbers = map(str, range(1, len(joined) + 1))
+    return "".join(chain.from_iterable(zip(numbers, repeat("-"), joined, repeat("\n"))))
 
 
 def format_rules_log(rules: RuleSet, db: Database) -> str:
-    """Rows ``X->Y = <pct>`` with comma-joined labels in canonical order."""
+    """Rows ``X->Y = <pct>`` with comma-joined labels in canonical order.
+
+    No Python statement runs per rule. Each itemset's labels are joined once,
+    a level at a time (``_joined``); the top level holds only unions, which
+    no rule shows. Every rule's percentage is computed in one pass of
+    ``map``s over its (supp(Z), supp(X)) pair, in Python ints, so
+    ``20000 * supp(Z)`` cannot overflow, and each distinct percentage is
+    rendered once.
+    """
+    joined = _joined(rules.itemsets[:-1], db, ",")
+    supports: list[int] = []
+    for level in rules.supports:
+        supports += level.tolist()
+    z, x, y = rules.sides.T.tolist()
+    supp_x = list(map(supports.__getitem__, x))
+    # format_percent's floor(supp(Z) / supp(X) * 10000 + 1/2), rule by rule.
+    scaled = map(mul, map(supports.__getitem__, z), repeat(20000))
+    hundredths = list(map(floordiv, map(add, scaled, supp_x), map(add, supp_x, supp_x)))
+    del z, supp_x  # tens of MB on a million rules, not held while the lines are joined
+    text = {h: _hundredths_text(h) for h in set(hundredths)}
+    lines = zip(
+        map(joined.__getitem__, x),
+        repeat("->"),
+        map(joined.__getitem__, y),
+        repeat(" = "),
+        map(text.__getitem__, hundredths),
+        repeat("\n"),
+    )
+    return "".join(chain.from_iterable(lines))
+
+
+def _joined(itemsets: list[np.ndarray], db: Database, sep: str) -> list[str]:
+    """Each row's labels joined by ``sep``, by row.
+
+    A level is rendered whole through C-level ``map``s: each column of
+    ordinals to labels, then the zipped columns to one string per row.
+    """
     label = db.items.label_getter()
-    itemsets, supports = rules.itemsets, rules.supports
-    # Each itemset's labels are joined once, and each confidence is rendered
-    # once per distinct (supp(Z), supp(X)) pair.
-    joined: list[str | None] = [None] * len(itemsets)
-    percent: dict[tuple[int, int], str] = {}
-    lines = []
+    joined: list[str] = []
     try:
-        for z, x, y in zip(*rules.sides.T.tolist()):
-            lhs = joined[x]
-            if lhs is None:
-                lhs = joined[x] = ",".join(map(label, itemsets[x]))
-            rhs = joined[y]
-            if rhs is None:
-                rhs = joined[y] = ",".join(map(label, itemsets[y]))
-            pair = supports[z], supports[x]
-            rendered = percent.get(pair)
-            if rendered is None:
-                rendered = percent[pair] = _percent(*pair)
-            lines.append(f"{lhs}->{rhs} = {rendered}\n")
+        for level in itemsets:
+            joined += map(sep.join, zip(*[map(label, column) for column in level.T.tolist()]))
     except IndexError:
-        _unknown(rules[len(lines)])
-    return "".join(lines)
-
-
-def _unknown(record: object) -> NoReturn:
-    # Records reject negative ordinals when built: this one is past the end.
-    raise UnknownItemError(f"{record} holds an ordinal the database lacks") from None
+        # Records reject negative ordinals when built: this one is past the end.
+        n_items = len(db.items)
+        bad = next(row for level in itemsets for row in level.tolist() if row[-1] >= n_items)
+        message = f"itemset {tuple(bad)} holds an ordinal the database lacks"
+        raise UnknownItemError(message) from None
+    return joined
 
 
 # ---------------------------------------------------------------------------

@@ -22,17 +22,19 @@ A level of at least ``ARRAY_MIN_ITEMSETS`` itemsets is searched a
 consequent size at a time for all of its Z at once, on numpy arrays; a
 smaller one, Z by Z (``apriori.generate_candidates`` is its join). Both read
 the mining result's level arrays, make the same tests and write the same
-rows. The result is a :class:`RuleSet`: it holds each rule as three rows of
-the mining result and builds ``Rule`` records only when it is read.
+rows. The result is a :class:`RuleSet`: it holds the mining result's level
+arrays and each rule as three of its rows, and builds ``Rule`` records only
+when it is read.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, combinations, count, islice
 from typing import Iterator, NoReturn
 
 import numpy as np
@@ -111,25 +113,28 @@ def confidence(supp_xy: int, supp_x: int) -> Fraction:
 class RuleSet(Sequence[Rule]):
     """The rules of one mining result, each held as three of its rows.
 
-    Row r is the result's r-th itemset in iteration order (by level, then
-    canonical order); ``itemsets[r]`` and ``supports[r]`` are its itemset
-    and support. Rule i is ``X => Y`` for ``(z, x, y) = sides[i]``: X is
-    row x, Y row y and their union Z row z. Indexing or iterating builds
-    each ``Rule`` afresh; ``confidence_tests`` counts the antecedent
-    supports looked up to find the rules.
+    ``itemsets`` and ``supports`` are the result's level arrays, as
+    ``MineResult`` holds them. Row r is the result's r-th itemset in
+    iteration order (by level, then canonical order): level k holds rows
+    ``first[k - 1]`` up to ``first[k]``. Rule i is ``X => Y`` for
+    ``(z, x, y) = sides[i]``: X is row x, Y row y and their union Z row z.
+    Indexing or iterating builds each ``Rule`` afresh from its rows' level
+    arrays; ``confidence_tests`` counts the antecedent supports looked up to
+    find the rules.
     """
 
-    __slots__ = ("itemsets", "supports", "sides", "confidence_tests")
+    __slots__ = ("itemsets", "supports", "first", "sides", "confidence_tests")
 
     def __init__(
         self,
-        itemsets: list[Itemset],
-        supports: list[int],
+        itemsets: list[np.ndarray],
+        supports: list[np.ndarray],
         sides: np.ndarray,
         confidence_tests: int,
     ) -> None:
         self.itemsets = itemsets
         self.supports = supports
+        self.first = _starts(supports)
         self.sides = sides
         self.confidence_tests = confidence_tests
 
@@ -145,9 +150,20 @@ class RuleSet(Sequence[Rule]):
         return map(self._rule, *self.sides.T.tolist())
 
     def _rule(self, z: int, x: int, y: int) -> Rule:
-        supp_z = self.supports[z]
-        conf = confidence(supp_z, self.supports[x])
-        return Rule(self.itemsets[x], self.itemsets[y], supp_z, conf)
+        supp_z = self._row(z)[1]
+        antecedent, supp_x = self._row(x)
+        return Rule(antecedent, self._row(y)[0], supp_z, confidence(supp_z, supp_x))
+
+    def _row(self, row: int) -> tuple[Itemset, int]:
+        """A row's itemset and support, read from its level's arrays."""
+        level = bisect_right(self.first, row) - 1
+        i = row - self.first[level]
+        return tuple(self.itemsets[level][i].tolist()), int(self.supports[level][i])
+
+
+def _starts(supports: list[np.ndarray]) -> list[int]:
+    """The row of each level's first itemset, then the number of rows."""
+    return list(accumulate(map(len, supports), initial=0))
 
 
 def generate_rules(frequents: MineResult, query: RuleQuery) -> RuleSet:
@@ -176,7 +192,7 @@ def generate_rules(frequents: MineResult, query: RuleQuery) -> RuleSet:
         tests += n_tests
     found.append(_sides(looped))
     sides = np.concatenate(found) if len(found) > 1 else found[0]
-    return RuleSet(rows.itemsets, rows.supports, sides, tests)
+    return RuleSet(frequents.itemsets, frequents.supports, sides, tests)
 
 
 def _sides(found: list[tuple[int, int, int]]) -> np.ndarray:
@@ -190,50 +206,70 @@ def _not_downward_closed(antecedent: Itemset) -> NoReturn:
 
 
 class _Rows:
-    """A mining result's itemsets and supports by row, and each itemset's row.
+    """Each itemset's row in a mining result, found by search or by dict.
 
-    Row r is the result's r-th itemset in iteration order. The loop looks
-    rows up in a dict. The array path searches each of the result's level
-    arrays as fixed-width big-endian byte strings, which sort bytewise in
-    canonical order, so a level needs no sort of its own. Each is built on
-    first use.
+    Row r is the result's r-th itemset in iteration order, and
+    ``first[k - 1]`` the row of level k's first itemset. The array path
+    searches a level's keys (``find``). A key packs an itemset's k ordinals
+    into one native int64 as digits in base (largest ordinal + 1); at a
+    level where base^k would pass the int64 maximum, it is the itemset's
+    fixed-width big-endian bytes. Both sort in canonical order, so a level,
+    already canonical, needs no sort of its own. The loop over each Z looks
+    rows up in a dict over the levels below its own (``below``). Each is
+    built on first use, the dict a level at a time.
     """
 
     def __init__(self, result: MineResult) -> None:
         self.result = result
-        self.itemsets = list(map(tuple, chain.from_iterable(m.tolist() for m in result.itemsets)))
-        self.supports = list(chain.from_iterable(s.tolist() for s in result.supports))
-        #: first[k - 1] is the row of level k's first itemset.
-        self.first = list(accumulate(map(len, result.supports), initial=0))
+        self.first = _starts(result.supports)
+        self._keys: dict[int, np.ndarray] = {}
+        self._row_of: dict[Itemset, int] = {}
+        self._supports: list[int] = []
+        self._below = 0  # the levels _row_of and _supports cover
 
     @cached_property
-    def row_of(self) -> dict[Itemset, int]:
-        return {itemset: row for row, itemset in enumerate(self.itemsets)}
+    def _base(self) -> int:
+        return max((int(m.max()) for m in self.result.itemsets if m.size), default=0) + 1
 
     @cached_property
-    def _dtype(self) -> np.dtype:
-        # Ordinals index the database's item list, so they fit in int64; the
-        # narrowest unsigned type that holds them all keeps the keys short.
-        top = max((int(m.max()) for m in self.result.itemsets if m.size), default=0)
-        return np.min_scalar_type(top).newbyteorder(">")
+    def _byte_digit(self) -> np.dtype:
+        # The narrowest unsigned type that holds every ordinal keeps the
+        # byte-string keys short.
+        return np.min_scalar_type(self._base - 1).newbyteorder(">")
 
-    @cached_property
-    def _keys(self) -> list[np.ndarray]:
-        return list(map(self._bytes, self.result.itemsets))
+    def keys(self, k: int) -> np.ndarray:
+        """Level k's search keys, in its (canonical) order."""
+        keys = self._keys.get(k)
+        if keys is None:
+            keys = self._keys[k] = self._pack(self.result.itemsets[k - 1])
+        return keys
 
-    def _bytes(self, itemsets: np.ndarray) -> np.ndarray:
-        width = itemsets.shape[1] * self._dtype.itemsize
-        return itemsets.astype(self._dtype).view(f"V{width}").ravel()
+    def _pack(self, itemsets: np.ndarray) -> np.ndarray:
+        k = itemsets.shape[1]
+        if self._base**k <= _INT64_MAX:
+            return itemsets @ self._base ** np.arange(k - 1, -1, -1)
+        width = k * self._byte_digit.itemsize
+        return itemsets.astype(self._byte_digit).view(f"V{width}").ravel()
 
     def find(self, itemsets: np.ndarray) -> np.ndarray:
         """The index in its level of each canonical itemset of an ``n x j`` array."""
-        keys, wanted = self._keys[itemsets.shape[1] - 1], self._bytes(itemsets)
+        keys, wanted = self.keys(itemsets.shape[1]), self._pack(itemsets)
         at = np.searchsorted(keys, wanted)
         hit = at < len(keys)
         hit[hit] = keys[at[hit]] == wanted[hit]
         if not hit.all():
             _not_downward_closed(tuple(itemsets[np.argmin(hit)].tolist()))
         return at
+
+    def below(self, k: int) -> tuple[dict[Itemset, int], list[int]]:
+        """Levels 1 to k - 1 by row: each itemset's row, and each row's support."""
+        row_of, supports = self._row_of, self._supports
+        levels = zip(self.result.itemsets, self.result.supports, self.first)
+        for level, support, first in islice(levels, self._below, k - 1):
+            row_of.update(zip(map(tuple, level.tolist()), range(first, first + len(level))))
+            supports += support.tolist()
+        self._below = max(self._below, k - 1)
+        return row_of, supports
 
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -324,13 +360,14 @@ def _level_by_itemset(
     Larger consequents are apriori-gen over the passing ones of each Z
     (``generate_candidates``).
     """
-    row_of, itemsets, supports = rows.row_of, rows.itemsets, rows.supports
+    row_of, supports = rows.below(k)
+    level = map(tuple, rows.result.itemsets[k - 1].tolist())
+    level_supports = rows.result.supports[k - 1].tolist()
     tests = 0
     last = k - 1
-    for z in range(rows.first[k - 1], rows.first[k]):
-        whole = itemsets[z]
+    for z, whole, supp_z in zip(count(rows.first[k - 1]), level, level_supports):
         # supp(X) * num <= supp(Z) * den  iff  supp(X) <= limit, in integers.
-        limit = supports[z] * den // num
+        limit = supp_z * den // num
         # The one-item consequents. combinations drops whole[-1] first and
         # whole[0] last, so the antecedents come in canonical order and
         # antecedents[j] is the one of consequent (whole[last - j],).
@@ -386,12 +423,15 @@ def format_percent(value: Fraction | int) -> str:
     """
     if value < 0:
         raise MiningError(f"a percentage must be >= 0, got {value}")
-    return _percent(value.numerator, value.denominator)
+    n, d = value.numerator, value.denominator
+    return _hundredths_text((20000 * n + d) // (2 * d))
 
 
-def _percent(n: int, d: int) -> str:
-    """``format_percent(Fraction(n, d))`` straight from the two integers."""
-    hundredths = (20000 * n + d) // (2 * d)
+def _hundredths_text(hundredths: int) -> str:
+    """A count of hundredths of a percent as ``format_percent`` writes it."""
     whole, rest = divmod(hundredths, 100)
-    text = f"{whole}.{rest:02d}".rstrip("0").rstrip(".")
-    return text + "%"
+    if rest % 10:
+        return f"{whole}.{rest:02d}%"
+    if rest:
+        return f"{whole}.{rest // 10}%"
+    return f"{whole}%"

@@ -7,9 +7,11 @@ from itertools import combinations
 import pytest
 
 from basketmine.cli import BENCH_CSV_HEADER, format_freq_log, format_rules_log, main
-from basketmine.miner import FrequentItemset
-from basketmine.model import MiningError, UnknownItemError
-from basketmine.rules import Rule, RuleQuery, generate_rules
+from basketmine.ingest import SyntheticSpec, generate_synthetic
+from basketmine.miner import FrequentItemset, mine
+from basketmine.model import MiningError, SupportThreshold, UnknownItemError
+from basketmine.rules import Rule, RuleQuery, format_percent, generate_rules
+from basketmine.tradelist import TradeList
 
 from conftest import DATA, GOLDEN
 from oracles import packed
@@ -668,6 +670,45 @@ def test_logs_at_scale_are_pinned(tmp_path, capsys, source, summary, freq_sha256
     assert code == 0
     assert hashlib.sha256(freq.read_bytes()).hexdigest() == freq_sha256
     assert hashlib.sha256(conf.read_bytes()).hexdigest() == conf_sha256
+
+
+def huge_support_result():
+    """Every subset of items 0-2, each support above 2^63 / 20000 (about 4.6e14).
+
+    ``20000 * supp(Z)`` passes int64 for every rule, and the supports differ
+    enough that the confidences round to many different percentages.
+    """
+    weight = {0: 3 * 10**17 + 7, 1: 2**61 + 11, 2: 123_456_789_012_345}
+    whole = tuple(weight)
+    return packed(
+        [
+            [
+                FrequentItemset(s, 10**15 + 1 + sum(weight.values()) - sum(map(weight.get, s)))
+                for s in combinations(whole, k)
+            ]
+            for k in (1, 2, 3)
+        ]
+    )
+
+
+@pytest.mark.parametrize("source", ["levelwise", "huge-supports"])
+def test_every_rules_log_line_shows_format_percent(store9_db, source):
+    if source == "levelwise":
+        _, spec, _, frac = LEVELWISE
+        db = generate_synthetic(SyntheticSpec(*map(int, spec.split(","))))
+        result = mine(TradeList.build(db), SupportThreshold.fractional(frac))
+        minconf = Fraction(1, 2)
+    else:
+        db, result, minconf = store9_db, huge_support_result(), Fraction(1, 10**9)
+    rules = generate_rules(result, RuleQuery(minconf))
+    label = db.items.label
+    expected = [
+        f"{','.join(map(label, r.antecedent))}->{','.join(map(label, r.consequent))}"
+        f" = {format_percent(r.confidence)}"
+        for r in rules
+    ]
+    assert format_rules_log(rules, db).splitlines() == expected
+    assert len(set(line.rpartition(" = ")[2] for line in expected)) > 6
 
 
 @pytest.mark.parametrize(

@@ -246,6 +246,34 @@ class TestGenerateRules:
         assert rules_on_both_paths(wide, query) == expected
         assert len(expected) == len(generate_rules(result, query))
 
+    @pytest.mark.parametrize("depth", [4, 5], ids=["at", "past"])
+    @pytest.mark.parametrize("minconf", [Fraction(1, 10**9), Fraction(1, 2), Fraction(4, 5)])
+    def test_search_keys_leave_int64_where_base_to_the_k_passes_it(self, depth, minconf):
+        # Largest ordinal 2^21 - 2, so base 2^21 - 1: base^3 is the largest
+        # cube below 2^63 - 1 and base^4 passes it. Levels 1 to 3 take int64
+        # keys, level 3's close to the top of the range; level 4 ("at") and
+        # level 5 ("past") take byte strings. An int64 level 4 would wrap.
+        top = 2**21 - 2
+        whole = (7, top - 3, top - 2, top - 1, top)[-depth:]
+        weight = dict(zip(whole, (1, 2, 4, 8, 16)))
+        # 3 plus the weights of the items left out: a subset's support is
+        # never below its superset's.
+        levels = [
+            [
+                FrequentItemset(s, 3 + sum(weight.values()) - sum(map(weight.get, s)))
+                for s in combinations(whole, k)
+            ]
+            for k in range(1, depth + 1)
+        ]
+        result = packed(levels)
+        rows = rules_module._Rows(result)
+        kinds = [rows.keys(k).dtype.kind for k in range(1, depth + 1)]
+        assert kinds == ["i"] * 3 + ["V"] * (depth - 3)
+        assert int(rows.keys(3).max()) > 2**63 - 2**45
+        expected = brute_rules(result, minconf)
+        assert rules_on_both_paths(result, RuleQuery(minconf)) == expected
+        assert expected
+
     @pytest.mark.parametrize(
         "minconf,confidence_tests,n_rules",
         [
