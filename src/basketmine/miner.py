@@ -239,11 +239,8 @@ def _levelwise(
     levels = []
     n_intersections = 0
     while True:
-        # Candidate c extends itemset parent[c] with the item at position
-        # at[c]: each itemset's candidates run from its last position + 1 to m - 1.
-        counts = m - 1 - last
-        parent = np.repeat(np.arange(len(last)), counts)
-        at = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts - last - 1, counts)
+        # Candidate c extends itemset parent[c] with the item at position at[c].
+        parent, at = _extensions(last, m)
         n_intersections += len(parent)
         found = []
         for lo in range(0, len(parent), block):
@@ -269,6 +266,18 @@ def _levelwise(
         levels.append((itemsets[rank], supports.astype(np.int64)[rank]))
         del parent, at, kept
     return levels, n_intersections
+
+
+def _extensions(last: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every row extended by each position after its last, up to ``m - 1``.
+
+    Extension e adds ``position[e]`` to row ``parent[e]``: a row's
+    extensions come together, in ascending position, and rows in order.
+    """
+    counts = m - 1 - last
+    parent = np.repeat(np.arange(len(last)), counts)
+    position = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts - last - 1, counts)
+    return parent, position
 
 
 #: Mine again at a changed threshold: the same function as :func:`mine`,

@@ -20,27 +20,27 @@ the failures on their border, not the ``2^|Z| - 2`` antecedents of each Z.
 
 A level of at least ``ARRAY_MIN_ITEMSETS`` itemsets is searched a
 consequent size at a time for all of its Z at once, on numpy arrays; a
-smaller one, Z by Z (``apriori.generate_candidates`` is its join). Both read
-the mining result's level arrays, make the same tests and write the same
-rows. The result is a :class:`RuleSet`: it holds the mining result's level
-arrays and each rule as three of its rows, and builds ``Rule`` records only
-when it is read.
+smaller one, Z by Z (``apriori.generate_candidates`` is its join), bisecting
+each subset's own level. Both read the mining result's level arrays, make the
+same tests and write the same rows, a level at a time. The result is a
+:class:`RuleSet`: it holds the mining result's level arrays and each rule as
+three of its rows, and builds ``Rule`` records only when it is read.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, combinations, count, islice
+from itertools import accumulate, combinations, count
 from typing import Iterator, NoReturn
 
 import numpy as np
 
 from .apriori import generate_candidates
-from .miner import MineResult
+from .miner import MineResult, _extensions
 from .model import Itemset, MiningError, ThresholdError, _check_itemset, _exact_fraction
 
 __all__ = [
@@ -178,25 +178,14 @@ def generate_rules(frequents: MineResult, query: RuleQuery) -> RuleSet:
     rows = _Rows(frequents)
     num = query.min_confidence.numerator
     den = query.min_confidence.denominator
-    found: list[np.ndarray] = []
-    looped: list[tuple[int, int, int]] = []  # found Z by Z since the last array level
+    found = [np.empty((0, 3), dtype=np.int64)]
     tests = 0
     for k, level in enumerate(frequents.supports[1:], 2):
-        if len(level) >= ARRAY_MIN_ITEMSETS:
-            found.append(_sides(looped))
-            looped = []
-            sides, n_tests = _level_on_arrays(rows, k, num, den)
-            found.append(sides)
-        else:
-            n_tests = _level_by_itemset(rows, k, num, den, looped)
+        search = _level_on_arrays if len(level) >= ARRAY_MIN_ITEMSETS else _level_by_itemset
+        sides, n_tests = search(rows, k, num, den)
+        found.append(sides)
         tests += n_tests
-    found.append(_sides(looped))
-    sides = np.concatenate(found) if len(found) > 1 else found[0]
-    return RuleSet(frequents.itemsets, frequents.supports, sides, tests)
-
-
-def _sides(found: list[tuple[int, int, int]]) -> np.ndarray:
-    return np.array(found, dtype=np.int64).reshape(-1, 3)
+    return RuleSet(frequents.itemsets, frequents.supports, np.concatenate(found), tests)
 
 
 def _not_downward_closed(antecedent: Itemset) -> NoReturn:
@@ -206,7 +195,7 @@ def _not_downward_closed(antecedent: Itemset) -> NoReturn:
 
 
 class _Rows:
-    """Each itemset's row in a mining result, found by search or by dict.
+    """Each itemset's row in a mining result, found by search in its level.
 
     Row r is the result's r-th itemset in iteration order, and
     ``first[k - 1]`` the row of level k's first itemset. The array path
@@ -214,18 +203,16 @@ class _Rows:
     into one native int64 as digits in base (largest ordinal + 1); at a
     level where base^k would pass the int64 maximum, it is the itemset's
     fixed-width big-endian bytes. Both sort in canonical order, so a level,
-    already canonical, needs no sort of its own. The loop over each Z looks
-    rows up in a dict over the levels below its own (``below``). Each is
-    built on first use, the dict a level at a time.
+    already canonical, needs no sort of its own. The loop over each Z
+    bisects a level's rows as Python lists (``row``). Each level's keys or
+    lists are built the first time that level is searched.
     """
 
     def __init__(self, result: MineResult) -> None:
         self.result = result
         self.first = _starts(result.supports)
         self._keys: dict[int, np.ndarray] = {}
-        self._row_of: dict[Itemset, int] = {}
-        self._supports: list[int] = []
-        self._below = 0  # the levels _row_of and _supports cover
+        self._lists: dict[int, tuple[list[list[int]], list[int]]] = {}
 
     @cached_property
     def _base(self) -> int:
@@ -253,23 +240,34 @@ class _Rows:
 
     def find(self, itemsets: np.ndarray) -> np.ndarray:
         """The index in its level of each canonical itemset of an ``n x j`` array."""
-        keys, wanted = self.keys(itemsets.shape[1]), self._pack(itemsets)
-        at = np.searchsorted(keys, wanted)
-        hit = at < len(keys)
-        hit[hit] = keys[at[hit]] == wanted[hit]
+        at, hit = _search(self.keys(itemsets.shape[1]), self._pack(itemsets))
         if not hit.all():
             _not_downward_closed(tuple(itemsets[np.argmin(hit)].tolist()))
         return at
 
-    def below(self, k: int) -> tuple[dict[Itemset, int], list[int]]:
-        """Levels 1 to k - 1 by row: each itemset's row, and each row's support."""
-        row_of, supports = self._row_of, self._supports
-        levels = zip(self.result.itemsets, self.result.supports, self.first)
-        for level, support, first in islice(levels, self._below, k - 1):
-            row_of.update(zip(map(tuple, level.tolist()), range(first, first + len(level))))
-            supports += support.tolist()
-        self._below = max(self._below, k - 1)
-        return row_of, supports
+    def row(self, itemset: Itemset) -> tuple[int, int]:
+        """A canonical itemset's row and support, bisected in its level's rows."""
+        k = len(itemset)
+        level = self._lists.get(k)
+        if level is None:
+            level = self._lists[k] = (
+                self.result.itemsets[k - 1].tolist(),
+                self.result.supports[k - 1].tolist(),
+            )
+        itemsets, supports = level
+        wanted = list(itemset)
+        i = bisect_left(itemsets, wanted)
+        if i == len(itemsets) or itemsets[i] != wanted:
+            _not_downward_closed(itemset)
+        return self.first[k - 1] + i, supports[i]
+
+
+def _search(keys: np.ndarray, wanted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each wanted key goes in the sorted ``keys``, and whether it is there."""
+    at = np.searchsorted(keys, wanted)
+    hit = at < len(keys)
+    hit[hit] = keys[at[hit]] == wanted[hit]
+    return at, hit
 
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -328,9 +326,7 @@ def _level_on_arrays(rows: _Rows, k: int, num: int, den: int) -> tuple[np.ndarra
         size += 1
         passed = np.sort(z << k | mask)
         # Join: each passing mask with every position above its highest.
-        counts = k - 1 - high
-        parent = np.repeat(np.arange(len(z)), counts)
-        high = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts - high - 1, counts)
+        parent, high = _extensions(high, k)
         z = z[parent]
         mask = mask[parent] | 1 << high
         # Prune: dropping the highest bit gives the parent, which passed.
@@ -338,10 +334,7 @@ def _level_on_arrays(rows: _Rows, k: int, num: int, den: int) -> tuple[np.ndarra
         keep = np.ones(len(z), dtype=bool)
         for p in range(k - 1):
             smaller = np.flatnonzero((mask >> p & 1 == 1) & (high != p))
-            sub = key[smaller] ^ 1 << p
-            at = np.searchsorted(passed, sub)
-            hit = at < len(passed)
-            hit[hit] = passed[at[hit]] == sub[hit]
+            _, hit = _search(passed, key[smaller] ^ 1 << p)
             keep[smaller[~hit]] = False
         z, mask, high = z[keep], mask[keep], high[keep]
         x = rows.find(_picked(whole, z, full ^ mask, k - size))
@@ -352,17 +345,17 @@ def _level_on_arrays(rows: _Rows, k: int, num: int, den: int) -> tuple[np.ndarra
     return np.stack((z[order] + first[k - 1], x[order], y[order]), axis=1), tests
 
 
-def _level_by_itemset(
-    rows: _Rows, k: int, num: int, den: int, found: list[tuple[int, int, int]]
-) -> int:
-    """``_level_on_arrays`` one Z at a time, appending its rows to ``found``.
+def _level_by_itemset(rows: _Rows, k: int, num: int, den: int) -> tuple[np.ndarray, int]:
+    """``_level_on_arrays`` one Z at a time.
 
     Larger consequents are apriori-gen over the passing ones of each Z
-    (``generate_candidates``).
+    (``generate_candidates``). Each antecedent and consequent is bisected in
+    its own level's rows (``_Rows.row``).
     """
-    row_of, supports = rows.below(k)
+    row = rows.row
     level = map(tuple, rows.result.itemsets[k - 1].tolist())
     level_supports = rows.result.supports[k - 1].tolist()
+    found: list[tuple[int, int, int]] = []
     tests = 0
     last = k - 1
     for z, whole, supp_z in zip(count(rows.first[k - 1]), level, level_supports):
@@ -372,11 +365,9 @@ def _level_by_itemset(
         # whole[0] last, so the antecedents come in canonical order and
         # antecedents[j] is the one of consequent (whole[last - j],).
         antecedents = list(combinations(whole, last))
-        xs = list(map(row_of.get, antecedents))
+        xs = list(map(row, antecedents))
         tests += last + 1
-        if None in xs:
-            _not_downward_closed(antecedents[xs.index(None)])
-        passing = [j for j, x in enumerate(xs) if supports[x] <= limit]
+        passing = [j for j, (_, supp_x) in enumerate(xs) if supp_x <= limit]
         if len(passing) > 1 and last > 1:
             # Larger consequents: apriori-gen over the passing consequents
             # one item smaller, testing only its candidates.
@@ -395,13 +386,10 @@ def _level_by_itemset(
                     head_antecedent = antecedent_of[consequent[:-1]]
                     j = head_antecedent.index(consequent[-1])
                     antecedent = head_antecedent[:j] + head_antecedent[j + 1 :]
-                    # Recorded: head_antecedent is an itemset of a lower
-                    # level, so an earlier Z, whose one-item tests looked
-                    # this one up.
-                    x = row_of[antecedent]
-                    if supports[x] <= limit:
+                    x, supp_x = row(antecedent)
+                    if supp_x <= limit:
                         grown[consequent] = antecedent
-                        sized.append((z, x, row_of[consequent]))
+                        sized.append((z, x, row(consequent)[0]))
                 # Same-size complements come in reverse order: the
                 # consequents' canonical order is the antecedents' reversed.
                 sized.reverse()
@@ -410,8 +398,8 @@ def _level_by_itemset(
             # Larger consequents mean smaller antecedents: they come first.
             for sized in reversed(by_size):
                 found += sized
-        found += [(z, xs[j], row_of[(whole[last - j],)]) for j in passing]
-    return tests
+        found += [(z, xs[j][0], row((whole[last - j],))[0]) for j in passing]
+    return np.array(found, dtype=np.int64).reshape(-1, 3), tests
 
 
 def format_percent(value: Fraction | int) -> str:

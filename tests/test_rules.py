@@ -275,6 +275,26 @@ class TestGenerateRules:
         assert expected
 
     @pytest.mark.parametrize(
+        "minconf,n_rules",
+        [(Fraction(1, 2), 5_110), (Fraction(1, 4), 16_585), (Fraction(1, 8), 31_825)],
+        ids=["1/2", "1/4", "1/8"],
+    )
+    def test_loop_levels_below_and_above_array_levels(self, minconf, n_rules):
+        # Every non-empty subset of 10 items is a row, so every itemset is
+        # frequent at support 1 and the levels hold C(10, k) itemsets. At the
+        # real crossover levels 2, 8, 9 and 10 take the loop and levels 3 to
+        # 7 the arrays: each level's rules must still come in level order.
+        rows = [s for k in range(1, 11) for s in combinations(range(10), k)]
+        result = mine(TradeList.build(db_from_rows(rows)), 1)
+        sizes = list(map(len, result.supports))
+        assert sizes == [10, 45, 120, 210, 252, 210, 120, 45, 10, 1]
+        on_arrays = [n >= rules_module.ARRAY_MIN_ITEMSETS for n in sizes[1:]]
+        assert on_arrays == [False] + [True] * 5 + [False] * 3
+        rules = list(generate_rules(result, RuleQuery(minconf)))
+        assert rules == brute_rules(result, minconf)
+        assert len(rules) == n_rules
+
+    @pytest.mark.parametrize(
         "minconf,confidence_tests,n_rules",
         [
             ("3/10", 18853, 13211),
