@@ -11,6 +11,7 @@ from __future__ import annotations
 import numbers
 import operator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -167,31 +168,42 @@ def generate_synthetic(spec: SyntheticSpec) -> Database:
     miners something to prune. Each row lists its items in draw order.
 
     One ``rng.poisson`` call gives every length. The items come from one
-    stream of weighted draws with replacement, made a block at a time: each
-    row takes draws from the stream until it holds ``length`` distinct
-    items, skipping repeats. Skipping repeats in an independent weighted
-    stream is exactly successive weighted sampling without replacement, so no
-    row can run out. A row near ``n_items`` long waits for its rarest items,
-    as a coupon collector does: at seeds 0 to 2, the rows of
+    flat stream of weighted draws with replacement, already mapped to
+    labels and refilled ``_POOL_DRAWS`` at a time as it runs dry: each row
+    takes draws from the stream until it holds ``length`` distinct items,
+    skipping repeats. Skipping repeats in an independent weighted stream is
+    exactly successive weighted sampling without replacement, so no row can
+    run out. A row near ``n_items`` long waits for its rarest items, as a
+    coupon collector does: at seeds 0 to 2, the rows of
     ``SyntheticSpec(20, 500, 500.0, seed)`` take 23 to 29 draws per item
     they keep.
+
+    Rows go to the database through the parser's bulk writer,
+    ``_CHUNK_LINES`` at a time; only one chunk of rows is held at once.
     """
     rng = np.random.default_rng(spec.seed)
     weights = 1.0 / np.arange(1, spec.n_items + 1)
     weights /= weights.sum()
     cdf = np.cumsum(weights)
     cdf[-1] = 1.0  # so every uniform draw in [0, 1) lands on an item
-    lengths = np.clip(rng.poisson(spec.mean_length, spec.n_transactions), 1, spec.n_items)
-    names = [f"I{g + 1}" for g in range(spec.n_items)]
+    lengths = np.clip(rng.poisson(spec.mean_length, spec.n_transactions), 1, spec.n_items).tolist()
+    labels = list(map("I{}".format, range(1, spec.n_items + 1)))
+
+    def block() -> list[str]:
+        draws = np.searchsorted(cdf, rng.random(_POOL_DRAWS), side="right").tolist()
+        return list(map(labels.__getitem__, draws))
+
+    stream = chain.from_iterable(iter(block, None))
     db = Database()
-    pool, pos = [], 0
-    for t, length in enumerate(lengths.tolist(), start=1):
-        row: dict[str, None] = {}
-        while len(row) < length:
-            if pos == len(pool):
-                draws = np.searchsorted(cdf, rng.random(_POOL_DRAWS), side="right").tolist()
-                pool, pos = list(map(names.__getitem__, draws)), 0
-            row[pool[pos]] = None
-            pos += 1
-        db.add_transaction(f"T{t}", row)
+    for start in range(0, len(lengths), _CHUNK_LINES):
+        rows = []
+        for t, length in enumerate(lengths[start : start + _CHUNK_LINES], start=start + 1):
+            row: dict[str, None] = {}
+            for item in stream:
+                row[item] = None
+                if len(row) == length:
+                    break
+            rows.append([f"T{t}", *row])
+        if not db._append_rows(rows):
+            raise AssertionError(f"generated rows T{start + 1} onwards failed the bulk checks")
     return db

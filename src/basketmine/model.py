@@ -194,8 +194,12 @@ class Database:
         interned, so a rejected row leaves the database as it was, and a
         malformed row raises ``ParseError`` even when its TID is taken. Item
         labels are scanned for reserved characters only when they are new.
+        A bare ``str`` of items is rejected with ``ParseError`` rather than
+        read as one label per character.
         """
         tid_label = tid_label.strip()
+        if isinstance(item_labels, str):
+            raise ParseError(f"transaction {tid_label!r} has one str for its items, not labels")
         labels = [label.strip() for label in item_labels]
         _check_row(tid_label, labels)
         known = self.items._by_label
@@ -215,12 +219,13 @@ class Database:
     def _append_rows(self, rows: list[list[str]]) -> bool:
         """Intern and append rows of ``[tid, item, ...]`` labels; False if one is rejected.
 
-        The parser's bulk path. The labels are already trimmed, and split
-        from lines so that none holds a reserved character or is a TID
-        starting with ``#``. A row with no items, an empty label, or a TID
-        repeated in ``rows`` or already in the database changes nothing and
-        returns False. New items intern in first-appearance order, as
-        row-by-row appends would.
+        The bulk path of the parser and the synthetic generator. The labels
+        are already trimmed, and none holds a reserved character or is a TID
+        starting with ``#``: the parser split them from lines, and the
+        generator's are ``T<n>`` and ``I<n>``. A row with no items, an empty
+        label, or a TID repeated in ``rows`` or already in the database
+        changes nothing and returns False. New items intern in
+        first-appearance order, as row-by-row appends would.
         """
         fresh = dict.fromkeys(map(operator.itemgetter(0), rows))
         # Two key views: isdisjoint then walks the smaller, not the database's TIDs.

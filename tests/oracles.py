@@ -1,12 +1,14 @@
 """Independent brute-force oracles and random-database builders.
 
 The support oracles count by scanning transactions directly,
-``brute_rules`` tries every antecedent of every itemset, and
-``reference_parse_into`` reads a document one line at a time; none of it
-shares code with the miners, the rule generator and the parser it is used
-to check.
+``brute_rules`` tries every antecedent of every itemset,
+``reference_parse_into`` reads a document one line at a time and
+``reference_synthetic`` generates rows one draw at a time; none of it
+shares code with the miners, the rule generator, the parser and the
+generator it is used to check.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 
@@ -50,6 +52,30 @@ def reference_parse_into(db, text):
         except (ParseError, DuplicateTidError) as exc:
             raise type(exc)(str(exc), line=lineno) from None
     return added
+
+
+def reference_synthetic(spec):
+    """``generate_synthetic`` one weighted draw at a time, one ``add_transaction`` per row.
+
+    The lengths and the 1/rank cumulative weights are computed as the
+    generator computes them. Each draw is one ``rng.random()`` mapped to the
+    first item whose cumulative weight exceeds it; a row takes draws until it
+    holds ``length`` distinct items, listed in draw order.
+    """
+    rng = np.random.default_rng(spec.seed)
+    weights = 1.0 / np.arange(1, spec.n_items + 1)
+    weights /= weights.sum()
+    cdf = np.cumsum(weights)
+    cdf[-1] = 1.0
+    cdf = cdf.tolist()
+    lengths = np.clip(rng.poisson(spec.mean_length, spec.n_transactions), 1, spec.n_items)
+    db = Database()
+    for t, length in enumerate(lengths.tolist(), start=1):
+        row = {}
+        while len(row) < length:
+            row[f"I{bisect_right(cdf, rng.random()) + 1}"] = None
+        db.add_transaction(f"T{t}", list(row))
+    return db
 
 
 def brute_tidset(db, itemset):

@@ -25,7 +25,7 @@ from basketmine.model import (
 )
 from basketmine.tradelist import TradeList
 
-from oracles import db_from_rows, db_rows, reference_parse_into
+from oracles import db_from_rows, db_rows, reference_parse_into, reference_synthetic
 
 
 class TestParse:
@@ -298,22 +298,22 @@ def rank_weights(n_items: int) -> list[float]:
 def drawn_rows(monkeypatch, spec: SyntheticSpec, length: int) -> list[list[int]]:
     """The rows of ``length`` items that ``spec`` generates, as 0-based ranks in draw order.
 
-    A spy on ``Database.add_transaction`` sees each row's labels in the
-    order they were drawn. Lengths are drawn apart from the items, so the
-    rows of one length are a sample of rows of that length.
+    A spy on ``Database._append_rows`` sees each row's labels after its TID
+    in the order they were drawn. Lengths are drawn apart from the items, so
+    the rows of one length are a sample of rows of that length.
     """
-    rows = []
-    add_transaction = Database.add_transaction
+    drawn = []
+    append_rows = Database._append_rows
 
-    def spy(self, tid_label, item_labels):
-        labels = list(item_labels)
-        if len(labels) == length:
-            rows.append([int(label[1:]) - 1 for label in labels])
-        return add_transaction(self, tid_label, labels)
+    def spy(self, rows):
+        for _tid, *labels in rows:
+            if len(labels) == length:
+                drawn.append([int(label[1:]) - 1 for label in labels])
+        return append_rows(self, rows)
 
-    monkeypatch.setattr(Database, "add_transaction", spy)
+    monkeypatch.setattr(Database, "_append_rows", spy)
     generate_synthetic(spec)
-    return rows
+    return drawn
 
 
 def assert_frequency(count: int, n: int, p: float) -> None:
@@ -376,14 +376,41 @@ class TestSynthetic:
             assert_frequency(missing[item], n, lacks)
             assert_frequency(first[item], n, w[item])
 
-    @pytest.mark.parametrize("draws", [7, ingest._POOL_DRAWS])
+    @pytest.mark.parametrize("draws", [1, 7, ingest._POOL_DRAWS])
     def test_rows_do_not_depend_on_the_pool_size(self, monkeypatch, draws):
-        # Against one draw per refill. Short and near-full rows both cross refills.
-        specs = [SyntheticSpec(300, 40, 6.0, seed=3), SyntheticSpec(30, 8, 7.5, seed=11)]
-        monkeypatch.setattr(ingest, "_POOL_DRAWS", 1)
-        expected = [generate_synthetic(spec) for spec in specs]
+        # Against one draw at a time. Short and near-full rows both cross refills.
         monkeypatch.setattr(ingest, "_POOL_DRAWS", draws)
-        assert [generate_synthetic(spec) for spec in specs] == expected
+        for spec in (SyntheticSpec(300, 40, 6.0, seed=3), SyntheticSpec(30, 8, 7.5, seed=11)):
+            assert generate_synthetic(spec) == reference_synthetic(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SyntheticSpec(256, 40, 6.0, seed=3),
+            # Rows past a whole number of 256-row chunks.
+            SyntheticSpec(257, 40, 6.0, seed=3),
+            SyntheticSpec(513, 12, 4.0, seed=8),
+            SyntheticSpec(300, 1, 1.0, seed=4),
+        ],
+        ids=repr,
+    )
+    def test_rows_match_the_reference_generator(self, spec):
+        assert generate_synthetic(spec) == reference_synthetic(spec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec=st.builds(
+            SyntheticSpec,
+            n_transactions=st.integers(1, 600),
+            n_items=st.shared(st.integers(1, 30), key="n_items"),
+            mean_length=st.shared(st.integers(1, 30), key="n_items").flatmap(
+                lambda n: st.floats(0.1, n)
+            ),
+            seed=st.integers(0, 2**32 - 1),
+        )
+    )
+    def test_any_small_spec_matches_the_reference_generator(self, spec):
+        assert generate_synthetic(spec) == reference_synthetic(spec)
 
     def test_full_length_rows_hold_every_item(self):
         db = generate_synthetic(SyntheticSpec(200, 8, 8.0, seed=5))
@@ -393,7 +420,9 @@ class TestSynthetic:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rows_as_long_as_the_item_set_finish(self, seed):
-        db = generate_synthetic(SyntheticSpec(20, 500, 500.0, seed))
+        spec = SyntheticSpec(20, 500, 500.0, seed)
+        db = generate_synthetic(spec)
+        assert db == reference_synthetic(spec)
         assert db.n_transactions == 20
         assert all(400 <= len(row) <= 500 for row in db.transactions)
         assert all(row == tuple(range(500)) for row in db.transactions if len(row) == 500)

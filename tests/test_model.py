@@ -188,6 +188,16 @@ class TestDatabase:
         with pytest.raises(ParseError):
             Database().add_transaction("T1", [])
 
+    @pytest.mark.parametrize("items", ["milk", "m", ""])
+    def test_bare_string_of_items_rejected(self, items):
+        # A str is iterable, but its characters are not the row's labels.
+        db = Database()
+        with pytest.raises(ParseError, match="transaction 'T7'"):
+            db.add_transaction(" T7 ", items)
+        assert db == Database()
+        assert db.add_transaction("T7", ["milk"]) == (0,)
+        assert db.items.labels() == ("milk",)
+
     @pytest.mark.parametrize(
         "tid,items",
         [
