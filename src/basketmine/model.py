@@ -195,12 +195,19 @@ class Database:
         malformed row raises ``ParseError`` even when its TID is taken. Item
         labels are scanned for reserved characters only when they are new.
         A bare ``str`` of items is rejected with ``ParseError`` rather than
-        read as one label per character.
+        read as one label per character, and so is a label that is not a
+        ``str``.
         """
+        if not isinstance(tid_label, str):
+            raise ParseError(f"transaction TID {tid_label!r} is not a str")
         tid_label = tid_label.strip()
         if isinstance(item_labels, str):
             raise ParseError(f"transaction {tid_label!r} has one str for its items, not labels")
-        labels = [label.strip() for label in item_labels]
+        labels = list(item_labels)
+        for label in labels:
+            if not isinstance(label, str):
+                raise ParseError(f"transaction {tid_label!r} has an item {label!r} that is not a str")
+        labels = [label.strip() for label in labels]
         _check_row(tid_label, labels)
         known = self.items._by_label
         ordinals = set(map(known.get, labels))

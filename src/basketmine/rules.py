@@ -18,13 +18,18 @@ supp(Z) / supp(X). A consequent with a failing subset therefore fails too,
 and every passing one is reached. The work follows the rules emitted plus
 the failures on their border, not the ``2^|Z| - 2`` antecedents of each Z.
 
-A level of at least ``ARRAY_MIN_ITEMSETS`` itemsets is searched a
-consequent size at a time for all of its Z at once, on numpy arrays; a
-smaller one, Z by Z (``apriori.generate_candidates`` is its join), bisecting
-each subset's own level. Both read the mining result's level arrays, make the
-same tests and write the same rows, a level at a time. The result is a
-:class:`RuleSet`: it holds the mining result's level arrays and each rule as
-three of its rows, and builds ``Rule`` records only when it is read.
+A level is searched a consequent size at a time for all of its Z at once, on
+numpy arrays, if it holds at least ``ARRAY_MIN_ITEMSETS`` itemsets or the
+levels below it hold at least ``ARRAY_MIN_BELOW``; otherwise Z by Z
+(``apriori.generate_candidates`` is its join), bisecting each subset's own
+level. The loop pays a fixed cost per Z and reads each lower level it
+touches into Python lists; the arrays pay a fixed cost per level, a few
+dozen numpy calls, and never read a level into lists. So a few Z over small
+levels take the loop, and many Z, or a few over large levels, the arrays.
+Both read the mining result's level arrays, make the same tests and write
+the same rows, a level at a time. The result is a :class:`RuleSet`: it
+holds the mining result's level arrays and each rule as three of its rows,
+and builds ``Rule`` records only when it is read.
 """
 
 from __future__ import annotations
@@ -53,10 +58,13 @@ __all__ = [
     "parse_confidence",
 ]
 
-#: ``generate_rules`` searches a level of at least this many itemsets on
-#: arrays, and one of fewer Z by Z, where each numpy call's fixed cost
-#: outweighs the work it batches (the crossover, measured in the ROADMAP).
-ARRAY_MIN_ITEMSETS = 64
+#: ``generate_rules`` searches a level on arrays if it holds at least
+#: ``ARRAY_MIN_ITEMSETS`` itemsets, or if the levels below it hold at least
+#: ``ARRAY_MIN_BELOW``, which the loop over each Z could have to read into
+#: lists; any other level, Z by Z, where each numpy call's fixed cost
+#: outweighs the work it batches. Both are fitted by the sweep in the ROADMAP.
+ARRAY_MIN_ITEMSETS = 40
+ARRAY_MIN_BELOW = 768
 
 
 @dataclass(frozen=True, slots=True)
@@ -181,7 +189,8 @@ def generate_rules(frequents: MineResult, query: RuleQuery) -> RuleSet:
     found = [np.empty((0, 3), dtype=np.int64)]
     tests = 0
     for k, level in enumerate(frequents.supports[1:], 2):
-        search = _level_on_arrays if len(level) >= ARRAY_MIN_ITEMSETS else _level_by_itemset
+        on_arrays = len(level) >= ARRAY_MIN_ITEMSETS or rows.first[k - 1] >= ARRAY_MIN_BELOW
+        search = _level_on_arrays if on_arrays else _level_by_itemset
         sides, n_tests = search(rows, k, num, den)
         found.append(sides)
         tests += n_tests
@@ -415,11 +424,12 @@ def format_percent(value: Fraction | int) -> str:
     return _hundredths_text((20000 * n + d) // (2 * d))
 
 
+#: What follows the whole percent, by hundredths past it: "%", ".01%", ...,
+#: ".1%", ..., ".99%", trailing zeros trimmed.
+_PERCENT_TAILS = tuple(f".{rest:02d}".rstrip("0").rstrip(".") + "%" for rest in range(100))
+
+
 def _hundredths_text(hundredths: int) -> str:
     """A count of hundredths of a percent as ``format_percent`` writes it."""
     whole, rest = divmod(hundredths, 100)
-    if rest % 10:
-        return f"{whole}.{rest:02d}%"
-    if rest:
-        return f"{whole}.{rest // 10}%"
-    return f"{whole}%"
+    return f"{whole}{_PERCENT_TAILS[rest]}"

@@ -2,10 +2,11 @@
 
 The support oracles count by scanning transactions directly,
 ``brute_rules`` tries every antecedent of every itemset,
-``reference_parse_into`` reads a document one line at a time and
-``reference_synthetic`` generates rows one draw at a time; none of it
-shares code with the miners, the rule generator, the parser and the
-generator it is used to check.
+``reference_parse_into`` reads a document one line at a time,
+``reference_synthetic`` generates rows one draw at a time and
+``reference_hundredths_text`` writes a percentage from its decimal digits;
+none of it shares code with the miners, the rule generator, the parser, the
+generator and the percentage renderer it is used to check.
 """
 
 from bisect import bisect_right
@@ -76,6 +77,13 @@ def reference_synthetic(spec):
             row[f"I{bisect_right(cdf, rng.random()) + 1}"] = None
         db.add_transaction(f"T{t}", list(row))
     return db
+
+
+def reference_hundredths_text(hundredths):
+    """A count of hundredths of a percent written from its digits, trailing zeros trimmed."""
+    digits = str(hundredths).rjust(3, "0")
+    whole, fraction = digits[:-2], digits[-2:].rstrip("0")
+    return f"{whole}.{fraction}%" if fraction else f"{whole}%"
 
 
 def brute_tidset(db, itemset):

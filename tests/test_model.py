@@ -289,6 +289,24 @@ class TestDatabase:
         assert db == Database()
         assert TradeList.build(db).serialize_log() == ""
 
+    @pytest.mark.parametrize(
+        "tid,items,named",
+        [
+            ("T1", [1, 2], "T1"),
+            ("T1", b"ab", "T1"),
+            ("T1", [None], "T1"),
+            ("T1", ["new", b"x"], "T1"),
+            (5, ["a"], "5"),
+            (None, ["new"], "None"),
+        ],
+    )
+    def test_non_str_label_rejected_before_interning(self, tid, items, named):
+        db, snapshot = db_from_rows([[0]]), db_from_rows([[0]])
+        with pytest.raises(ParseError, match=f"transaction (TID )?'?{named}'?"):
+            db.add_transaction(tid, items)
+        assert db == snapshot
+        assert db.items.labels() == ("I0",)
+
     @settings(max_examples=150)
     @given(
         rows=db_rows(max_tx=5, max_items=4),

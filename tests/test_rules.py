@@ -1,7 +1,7 @@
 import sys
 from fractions import Fraction
 from itertools import combinations
-from math import floor
+from math import comb, floor
 from unittest import mock
 
 import pytest
@@ -22,18 +22,31 @@ from basketmine.rules import (
 )
 from basketmine.tradelist import TradeList
 
-from oracles import brute_rules, brute_tidset, db_from_rows, db_rows, packed
+from oracles import (
+    brute_rules,
+    brute_tidset,
+    db_from_rows,
+    db_rows,
+    packed,
+    reference_hundredths_text,
+)
 
-#: ARRAY_MIN_ITEMSETS values that send every level to the array path, then
-#: every level to the loop over each Z.
-CROSSOVERS = (0, sys.maxsize)
+#: (ARRAY_MIN_ITEMSETS, ARRAY_MIN_BELOW) values that send every level to the
+#: array path, then every level to the loop over each Z.
+CROSSOVERS = ((0, 0), (sys.maxsize, sys.maxsize))
+
+
+def crossover(at):
+    """Patch the rule path's two constants to ``at``."""
+    n, below = at
+    return mock.patch.multiple(rules_module, ARRAY_MIN_ITEMSETS=n, ARRAY_MIN_BELOW=below)
 
 
 def rules_on_both_paths(result, query):
     """The rules as a list, checked equal, with equal test counts, on both paths."""
     found = []
-    for crossover in CROSSOVERS:
-        with mock.patch.object(rules_module, "ARRAY_MIN_ITEMSETS", crossover):
+    for at in CROSSOVERS:
+        with crossover(at):
             found.append(generate_rules(result, query))
     arrays, loop = found
     assert list(arrays) == list(loop)
@@ -43,12 +56,50 @@ def rules_on_both_paths(result, query):
 
 def assert_same_error_on_both_paths(result, query):
     messages = []
-    for crossover in CROSSOVERS:
-        with mock.patch.object(rules_module, "ARRAY_MIN_ITEMSETS", crossover):
+    for at in CROSSOVERS:
+        with crossover(at):
             with pytest.raises(MiningError, match="downward-closed") as caught:
                 generate_rules(result, query)
         messages.append(str(caught.value))
     assert messages[0] == messages[1]
+
+
+def paths_taken(result, query):
+    """``generate_rules``'s rules, and the path each level k >= 2 took, by k."""
+    spy = mock.patch.object
+    with spy(rules_module, "_level_on_arrays", wraps=rules_module._level_on_arrays) as arrays:
+        with spy(rules_module, "_level_by_itemset", wraps=rules_module._level_by_itemset) as loop:
+            rules = generate_rules(result, query)
+    taken = {call.args[1]: "arrays" for call in arrays.call_args_list}
+    taken |= {call.args[1]: "loop" for call in loop.call_args_list}
+    return rules, [taken[k] for k in sorted(taken)]
+
+
+def shaped_result(k, n_top, n_below=None):
+    """A downward-closed result whose level k, its top, holds ``n_top`` itemsets.
+
+    The top level is the first ``n_top`` k-subsets of the fewest items that
+    have that many, and the levels below hold every proper subset of them.
+    Given ``n_below``, level 1 is padded with items of no larger itemset
+    until the lower levels hold that many. An itemset's support is 1 plus
+    the weights of the first m items it leaves out, item i weighing i + 1,
+    so a subset's is never below its superset's.
+    """
+    m = k
+    while comb(m, k) < n_top:
+        m += 1
+    top = list(combinations(range(m), k))[:n_top]
+    lower = [sorted({s for z in top for s in combinations(z, j)}) for j in range(1, k)]
+    if n_below is not None:
+        pad = n_below - sum(map(len, lower))
+        assert pad >= 0
+        lower[0] += [(i,) for i in range(m, m + pad)]
+    return packed(
+        [
+            [FrequentItemset(s, 1 + sum(i + 1 for i in range(m) if i not in s)) for s in level]
+            for level in lower + [top]
+        ]
+    )
 
 
 def deep_result():
@@ -276,23 +327,49 @@ class TestGenerateRules:
 
     @pytest.mark.parametrize(
         "minconf,n_rules",
-        [(Fraction(1, 2), 5_110), (Fraction(1, 4), 16_585), (Fraction(1, 8), 31_825)],
+        [(Fraction(1, 2), 1_016), (Fraction(1, 4), 2_780), (Fraction(1, 8), 4_516)],
         ids=["1/2", "1/4", "1/8"],
     )
     def test_loop_levels_below_and_above_array_levels(self, minconf, n_rules):
-        # Every non-empty subset of 10 items is a row, so every itemset is
-        # frequent at support 1 and the levels hold C(10, k) itemsets. At the
-        # real crossover levels 2, 8, 9 and 10 take the loop and levels 3 to
-        # 7 the arrays: each level's rules must still come in level order.
-        rows = [s for k in range(1, 11) for s in combinations(range(10), k)]
+        # Every non-empty subset of 8 items is a row, so every itemset is
+        # frequent at support 1 and the levels hold C(8, k) itemsets, 255 in
+        # all. With the real constants levels 2, 6, 7 and 8 take the loop and
+        # levels 3 to 5 the arrays: each level's rules must still come in
+        # level order.
+        rows = [s for k in range(1, 9) for s in combinations(range(8), k)]
         result = mine(TradeList.build(db_from_rows(rows)), 1)
-        sizes = list(map(len, result.supports))
-        assert sizes == [10, 45, 120, 210, 252, 210, 120, 45, 10, 1]
-        on_arrays = [n >= rules_module.ARRAY_MIN_ITEMSETS for n in sizes[1:]]
-        assert on_arrays == [False] + [True] * 5 + [False] * 3
-        rules = list(generate_rules(result, RuleQuery(minconf)))
-        assert rules == brute_rules(result, minconf)
+        assert list(map(len, result.supports)) == [8, 28, 56, 70, 56, 28, 8, 1]
+        rules, paths = paths_taken(result, RuleQuery(minconf))
+        assert paths == ["loop"] + ["arrays"] * 3 + ["loop"] * 3
+        assert list(rules) == brute_rules(result, minconf)
         assert len(rules) == n_rules
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize(
+        "constant,offset,path",
+        [
+            ("ARRAY_MIN_ITEMSETS", -1, "loop"),
+            ("ARRAY_MIN_ITEMSETS", 0, "arrays"),
+            ("ARRAY_MIN_BELOW", -1, "loop"),
+            ("ARRAY_MIN_BELOW", 0, "arrays"),
+        ],
+        ids=["itemsets-1", "itemsets", "below-1", "below"],
+    )
+    def test_path_on_each_side_of_each_constant(self, constant, offset, path, k):
+        # A top level one itemset short of ARRAY_MIN_ITEMSETS, or at it, over
+        # only its own subsets; then a single itemset over one lower itemset
+        # short of ARRAY_MIN_BELOW, or exactly that many, which the loop would
+        # have to read into lists.
+        at = getattr(rules_module, constant) + offset
+        if constant == "ARRAY_MIN_ITEMSETS":
+            result = shaped_result(k, at)
+        else:
+            result = shaped_result(k, 1, at)
+        query = RuleQuery(Fraction(3, 4))
+        rules, paths = paths_taken(result, query)
+        assert paths[-1] == path
+        assert list(rules) == brute_rules(result, query.min_confidence)
+        assert rules_on_both_paths(result, query) == list(rules)
 
     @pytest.mark.parametrize(
         "minconf,confidence_tests,n_rules",
@@ -311,8 +388,8 @@ class TestGenerateRules:
         # whose every subset one item smaller passed: a weaker prune, or
         # none, makes more tests for the same rules.
         result = deep_result()
-        for crossover in CROSSOVERS:
-            with mock.patch.object(rules_module, "ARRAY_MIN_ITEMSETS", crossover):
+        for at in CROSSOVERS:
+            with crossover(at):
                 rules = generate_rules(result, RuleQuery(Fraction(minconf)))
             assert (len(rules), rules.confidence_tests) == (n_rules, confidence_tests)
 
@@ -416,6 +493,17 @@ class TestFormatPercent:
         # rounding would misrender these as "-13.5%", "-34.67%" and "0%".
         with pytest.raises(MiningError):
             format_percent(value)
+
+    def test_every_hundredths_count_to_200_percent(self):
+        # The rules log renders each distinct count through this one table.
+        for hundredths in range(20_001):
+            assert rules_module._hundredths_text(hundredths) == reference_hundredths_text(hundredths)
+
+    @pytest.mark.parametrize("hundredths", [2**63 - 1, 2**63, 2**63 + 1, 2**64 + 10, 10**30 + 7])
+    def test_hundredths_counts_past_int64(self, hundredths):
+        text = rules_module._hundredths_text(hundredths)
+        assert text == reference_hundredths_text(hundredths)
+        assert format_percent(Fraction(hundredths, 10_000)) == text
 
     @given(
         st.fractions(min_value=0, max_value=1, max_denominator=10**7).filter(
