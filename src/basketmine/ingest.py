@@ -3,7 +3,7 @@
 File format: one transaction per line, ``TID,item,item,...``. Whitespace
 around fields is ignored; blank lines and lines starting with ``#`` are
 skipped. Duplicate items within a line collapse to a set; duplicate TIDs are
-an error.
+an error. One byte-order mark (U+FEFF) at the start of a document is dropped.
 """
 
 from __future__ import annotations
@@ -59,15 +59,23 @@ def parse_into(db: Database, text: str) -> list[Itemset]:
     errors gain the ``line N:`` prefix and ``line`` attribute of the
     offending line.
 
-    Lines are split and appended ``_CHUNK_LINES`` at a time. A chunk that
-    fails a check is added again line by line through
+    One leading U+FEFF, a byte-order mark, is dropped; a TID that starts
+    with one is rejected, since written first in a file it would not read
+    back.
+
+    Lines are split and appended ``_CHUNK_LINES`` at a time through
+    :meth:`Database._append_rows`, which interns each label with one dict
+    lookup. A chunk that fails a check is added again line by line through
     :meth:`Database.add_transaction`, which raises the first rejection.
     """
     n_tx, n_items, n_tids = len(db.transactions), len(db.items), len(db.tids)
+    text = text.removeprefix("\ufeff")
     lines = text.splitlines()
+    is_ascii = text.isascii()
     # Inside a line, str.strip can remove only these ASCII characters (the
     # rest of ASCII whitespace breaks lines) or some non-ASCII whitespace.
-    trim = not text.isascii() or " " in text or "\t" in text or "\x1f" in text
+    trim = not is_ascii or " " in text or "\t" in text or "\x1f" in text
+    marked = not is_ascii and "\ufeff" in text
     try:
         for start in range(0, len(lines), _CHUNK_LINES):
             chunk = lines[start : start + _CHUNK_LINES]
@@ -75,7 +83,7 @@ def parse_into(db: Database, text: str) -> list[Itemset]:
             rows = [line.split(",") for line in kept if line and line[0] != "#"]
             if trim:
                 rows = [list(map(str.strip, row)) for row in rows]
-            if not db._append_rows(rows):
+            if marked and any(row[0][:1] == "\ufeff" for row in rows) or not db._append_rows(rows):
                 _add_each(db, chunk, start + 1)
     except BaseException:
         del db.transactions[n_tx:]

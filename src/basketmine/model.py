@@ -11,7 +11,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, filterfalse, repeat
+from itertools import repeat
 from typing import Callable, Collection, Iterable, Sequence
 
 __all__ = [
@@ -62,31 +62,50 @@ class ThresholdError(MiningError):
 Itemset = tuple[int, ...]
 
 
+class _Ordinals(dict):
+    """Label -> ordinal map whose lookup of a new label interns it as the next ordinal.
+
+    The label list grows before the key is set, so :meth:`Interner.truncate`
+    undoes a lookup interrupted between the two.
+    """
+
+    __slots__ = ("_labels",)
+
+    def __init__(self, labels: list[str]) -> None:
+        super().__init__()
+        self._labels = labels
+
+    def __missing__(self, label: str) -> int:
+        labels = self._labels
+        ordinal = len(labels)
+        labels.append(label)
+        self[label] = ordinal
+        return ordinal
+
+
 class Interner:
     """Bijective label <-> dense-ordinal map; ordinals follow first appearance.
 
     Labels come in only through :class:`Database`'s appends, which check
-    every one, so every interned label can be written back.
-    Re-interning a known label is a no-op that returns the ordinal assigned
-    the first time.
+    every one, so every interned label can be written back. Looking a label
+    up in ``_by_label`` interns it: one dict lookup gives the ordinal of a
+    known label and assigns the next one to a new label. Re-interning a
+    known label is a no-op that returns the ordinal assigned the first time.
+    ``in`` and ``get`` never intern.
     """
 
     __slots__ = ("_labels", "_by_label")
 
     def __init__(self) -> None:
         self._labels: list[str] = []
-        self._by_label: dict[str, int] = {}
+        self._by_label = _Ordinals(self._labels)
 
     def __len__(self) -> int:
         return len(self._labels)
 
     def _intern(self, label: str) -> int:
         """The label's ordinal, the next one if it is new; the caller trimmed and checked it."""
-        n = len(self._labels)
-        ordinal = self._by_label.setdefault(label, n)
-        if ordinal == n:
-            self._labels.append(label)
-        return ordinal
+        return self._by_label[label]
 
     def _extend(self, labels: Collection[str]) -> None:
         """Intern labels the caller checked are new and distinct, in their order.
@@ -155,6 +174,8 @@ def _check_row(tid_label: str, item_labels: list[str]) -> None:
         raise ParseError("empty TID")
     if tid_label[0] == "#":
         raise ParseError(f"TID {tid_label!r} would read back as a comment")
+    if tid_label[0] == "\ufeff":
+        raise ParseError(f"TID {tid_label!r} starts with a byte-order mark, which a reader drops")
     if not item_labels:
         raise ParseError(f"transaction {tid_label!r} has no items")
     if "" in item_labels:
@@ -190,7 +211,8 @@ class Database:
         Duplicate items collapse silently. Labels are trimmed and must be
         representable in the text format: non-empty, no commas and no line
         boundary that ``str.splitlines`` breaks at, and a TID may not start
-        with the comment marker. Every label is checked before any is
+        with the comment marker or with U+FEFF, which a reader drops as a
+        byte-order mark at the start of a file. Every label is checked before any is
         interned, so a rejected row leaves the database as it was, and a
         malformed row raises ``ParseError`` even when its TID is taken. Item
         labels are scanned for reserved characters only when they are new.
@@ -226,33 +248,32 @@ class Database:
     def _append_rows(self, rows: list[list[str]]) -> bool:
         """Intern and append rows of ``[tid, item, ...]`` labels; False if one is rejected.
 
-        The bulk path of the parser and the synthetic generator. The labels
-        are already trimmed, and none holds a reserved character or is a TID
-        starting with ``#``: the parser split them from lines, and the
-        generator's are ``T<n>`` and ``I<n>``. A row with no items, an empty
-        label, or a TID repeated in ``rows`` or already in the database
-        changes nothing and returns False. New items intern in
-        first-appearance order, as row-by-row appends would.
+        The bulk path of the parser and the generator; it pops each row's TID.
+        No label holds a reserved character or surrounding space, and no TID
+        starts with ``#`` or U+FEFF. A row with no items, an empty label, or a
+        TID repeated in ``rows`` or in the database changes nothing and
+        returns False. The TIDs are checked first; then one dict lookup per
+        item label interns the new ones, in first-appearance order, as
+        row-by-row appends would. An empty one interns too, and is truncated
+        away with the rest.
         """
-        fresh = dict.fromkeys(map(operator.itemgetter(0), rows))
+        tids = list(map(list.pop, rows, repeat(0)))
+        fresh = dict.fromkeys(tids)
         # Two key views: isdisjoint then walks the smaller, not the database's TIDs.
         if (
-            len(fresh) < len(rows)
+            len(fresh) < len(tids)
             or "" in fresh
-            or 1 in map(len, rows)
+            or not all(rows)
             or not fresh.keys().isdisjoint(self.tids._by_label.keys())
         ):
             return False
-        item_rows = list(map(operator.itemgetter(slice(1, None)), rows))
-        known = self.items._by_label
-        # No interned label is empty, so an empty item label shows up as new.
-        new_items = dict.fromkeys(filterfalse(known.__contains__, chain.from_iterable(item_rows)))
-        if "" in new_items:
+        by_label, n_items = self.items._by_label, len(self.items)
+        item_sets = list(map(set, map(map, repeat(by_label.__getitem__), rows)))
+        if "" in by_label:
+            self.items.truncate(n_items)
             return False
         self.tids._extend(fresh)
-        self.items._extend(new_items)
-        ordinals = map(map, repeat(known.__getitem__), item_rows)
-        self.transactions.extend(map(tuple, map(sorted, map(set, ordinals))))
+        self.transactions.extend(map(tuple, map(sorted, item_sets)))
         return True
 
     def __eq__(self, other: object) -> bool:

@@ -37,12 +37,14 @@ def add_row(db, row):
 def reference_parse_into(db, text):
     """``parse_into`` one line at a time through the checked ``add_transaction``.
 
-    Each line is stripped; blank and ``#`` lines are skipped; the rest split
-    at commas into a TID and its items. A rejected row raises its error
-    again with ``line=N``. Unlike ``parse_into`` it leaves the rows before a
-    rejected one in ``db``.
+    One leading byte-order mark (U+FEFF) is dropped. Each line is stripped;
+    blank and ``#`` lines are skipped; the rest split at commas into a TID
+    and its items. A rejected row raises its error again with ``line=N``.
+    Unlike ``parse_into`` it leaves the rows before a rejected one in ``db``.
     """
     added = []
+    if text.startswith("\ufeff"):
+        text = text[1:]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

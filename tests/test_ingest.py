@@ -76,6 +76,22 @@ class TestParse:
         with pytest.raises(DuplicateTidError, match="T1"):
             parse_into(db, "T1,B\n")
 
+    def test_leading_byte_order_mark_is_dropped(self):
+        assert parse_database("\ufeffT1,a\n").tids.labels() == ("T1",)
+        assert parse_database("\ufeff# header\nT1,a\n") == parse_database("T1,a\n")
+        db = parse_database("T1,a\n")
+        parse_into(db, "\ufeffT2,b\n")
+        assert db.tids.labels() == ("T1", "T2")
+
+    @pytest.mark.parametrize(
+        "doc,lineno",
+        [("T1,a\n\ufeffT2,b\n", 2), ("\ufeff\ufeffT1,a\n", 1), ("T1,a\n \ufeff# x,b\nT3,c\n", 2)],
+    )
+    def test_tid_starting_with_a_byte_order_mark_names_its_line(self, doc, lineno):
+        # Written first in a file, such a TID would read back without its mark.
+        with pytest.raises(ParseError, match=f"line {lineno}: TID .* byte-order mark"):
+            parse_database(doc)
+
 
 pads = st.sampled_from(["", " ", "  ", "\t"])
 
@@ -104,6 +120,16 @@ class TestParseRendered:
         assert parse_database(doc) == db_from_rows(rows)
 
 
+def assert_interners_in_step(db):
+    """Each interner's dict maps exactly its labels to their positions.
+
+    ``Database.__eq__`` compares label tuples only, so it cannot see a key
+    that a rolled-back append left in a dict.
+    """
+    for interner in (db.items, db.tids):
+        assert interner._by_label == {label: i for i, label in enumerate(interner.labels())}
+
+
 BASE = "B1,I1\nB2,I2\n"
 
 
@@ -129,6 +155,7 @@ def test_bad_line_names_its_line(bad, error, before, after, blanks):
     assert info.value.line == lineno
     assert str(info.value).startswith(f"line {lineno}: ")
     assert db == parse_database(BASE)
+    assert_interners_in_step(db)
 
 
 new_lines = st.builds(
@@ -149,9 +176,17 @@ class TestParseIntoAtomic:
         assert store9_db.n_transactions == tl.n_transactions == 9
         assert store9_db.items.labels() == ("I1", "I2", "I5", "I4", "I3")
         assert "T901" not in store9_db.tids.labels()
+        assert_interners_in_step(store9_db)
         for tx in parse_into(store9_db, "T901,I1\nT902,I6\n"):
             tl.add_transaction(tx)
         assert tl == TradeList.build(store9_db)
+
+    def test_bulk_rows_with_an_empty_item_intern_nothing(self, store9_db):
+        # The rows' new items intern before the empty one shows up.
+        snapshot = parse_database(write_database(store9_db))
+        assert not store9_db._append_rows([["T901", "J1", "I1"], ["T902", "J2", ""]])
+        assert store9_db == snapshot
+        assert_interners_in_step(store9_db)
 
     def test_interrupted_update_leaves_db_and_index_in_step(self, monkeypatch, store9_db):
         # Not a rejected row: the second chunk's append raises after the
@@ -162,7 +197,7 @@ class TestParseIntoAtomic:
         calls = []
 
         def failing(self, rows):
-            calls.append(rows)
+            calls.append([row[:] for row in rows])  # _append_rows consumes its rows
             if len(calls) == 2:
                 raise MemoryError
             return append_rows(self, rows)
@@ -174,6 +209,7 @@ class TestParseIntoAtomic:
         monkeypatch.undo()
         assert calls == [[["T901", "I1", "I9"]], [["T902", "I2"]]]
         assert store9_db == snapshot
+        assert_interners_in_step(store9_db)
         for tx in parse_into(store9_db, "T901,I1\nT902,I6\n"):
             tl.add_transaction(tx)
         assert tl == TradeList.build(store9_db)
@@ -191,6 +227,7 @@ class TestParseIntoAtomic:
         with pytest.raises(MiningError):
             parse_into(db, "\n".join([*before, bad, *after]))
         assert db == snapshot
+        assert_interners_in_step(db)
         assert tl == TradeList.build(snapshot)
         for tx in parse_into(db, "Z1,I1,K1\n"):
             tl.add_transaction(tx)
@@ -202,7 +239,7 @@ wide_pads = st.text(st.sampled_from([" ", "\t", "\x1f", "\xa0", "\u3000"]), max_
 
 
 # B1 and B2 are the base's TIDs; J1 and J2 are items the base lacks.
-doc_tids = st.sampled_from(["B1", "B2", "T1", "T2", "T3", "T4"])
+doc_tids = st.sampled_from(["B1", "B2", "T1", "T2", "T3", "T4", "\ufeffT5"])
 doc_items = st.lists(st.sampled_from(["I1", "I2", "I1", "J1", "J2"]), min_size=1, max_size=4)
 
 
@@ -224,7 +261,8 @@ line_ends = st.sampled_from(["\n", "\r\n", "\r", "\x85", "\u2028"])
 @st.composite
 def documents(draw):
     lines = draw(st.lists(doc_lines, max_size=10))
-    return "".join(line + draw(line_ends) for line in lines)
+    mark = draw(st.sampled_from(["", "\ufeff"]))  # a byte-order mark
+    return mark + "".join(line + draw(line_ends) for line in lines)
 
 
 class TestParseMatchesReference:
@@ -233,6 +271,7 @@ class TestParseMatchesReference:
     @example(doc="T1,J1\nT2,I1\nT3,I2\nT1,I1\n", chunk=2)  # duplicate TID in a later chunk
     @example(doc="T1,I1\nT2,I1\nB2,J1\n", chunk=2)  # a base TID in a later chunk
     @example(doc="T1,I1\nT2,I2\n T3 ,\xa0J2,J1,J2\n", chunk=2)  # new items in a later chunk
+    @example(doc="T1,J1\nT2,J2,\n", chunk=2)  # new items interned, then an empty item rejects
     def test_parse_into_matches_the_per_row_reference(self, doc, chunk):
         expected_db, db = parse_database(BASE), parse_database(BASE)
         try:
@@ -242,6 +281,7 @@ class TestParseMatchesReference:
                 parse_into(db, doc)
             assert (str(info.value), info.value.line) == (str(exc), exc.line)
             assert db == parse_database(BASE)
+            assert_interners_in_step(db)
         else:
             with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
                 assert parse_into(db, doc) == expected

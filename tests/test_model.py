@@ -205,6 +205,7 @@ class TestDatabase:
             ("T1", ["a,b"]),
             ("T1", ["a\nb"]),
             ("#T1", ["A"]),
+            ("\ufeffT1", ["A"]),
         ],
     )
     def test_unrepresentable_labels_rejected(self, tid, items):
@@ -254,7 +255,7 @@ class TestDatabase:
     @given(
         rows=st.lists(
             st.tuples(
-                st.text(alphabet="aab #\t\x1f" + RESERVED, max_size=4),
+                st.text(alphabet="aab #\t\x1f\ufeff" + RESERVED, max_size=4),
                 st.lists(st.text(alphabet="aabbc é\x1f" + RESERVED, max_size=4), max_size=4),
             ),
             max_size=8,
@@ -280,7 +281,13 @@ class TestDatabase:
 
     @pytest.mark.parametrize(
         "tid,items",
-        [("T1", ["a", "  "]), ("  ", ["x"]), ("T1", ["a", "b,c"]), ("#T1", ["a"])],
+        [
+            ("T1", ["a", "  "]),
+            ("  ", ["x"]),
+            ("T1", ["a", "b,c"]),
+            ("#T1", ["a"]),
+            (" \ufeffT1", ["a"]),
+        ],
     )
     def test_rejected_row_interns_nothing(self, tid, items):
         db = Database()
@@ -310,7 +317,9 @@ class TestDatabase:
     @settings(max_examples=150)
     @given(
         rows=db_rows(max_tx=5, max_items=4),
-        tid=st.sampled_from(["T1", "T2", "T99", " T98 ", "", "  ", "#T1", "T1,T2", "T\n"]),
+        tid=st.sampled_from(
+            ["T1", "T2", "T99", " T98 ", "", "  ", "#T1", "\ufeffT1", "T1,T2", "T\n"]
+        ),
         items=st.lists(
             st.sampled_from(["I0", "I9", " J1 ", "", " ", "a,b", "a\rb", "\n"]), max_size=4
         ),
